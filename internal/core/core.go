@@ -133,12 +133,15 @@ type Manager struct {
 	sarsaReady completedExp
 	hasSarsa   bool
 
-	// Fuzzy encodings of the pending decision state.
-	fuzzyStates  []int
-	fuzzyWeights []float64
-	// qScratch holds blended Q values during a fuzzy decision; unlike the
-	// fuzzy encodings it never outlives the Decide call, so it is safe to
-	// reuse and keeps the per-slot path allocation-free.
+	// Fuzzy encodings, held in place so the fuzzy path allocates nothing.
+	// fuzzyDec is the decision state's: Decide writes it and it lives
+	// until the pending experience it starts completes, which is safe
+	// because Decide is only consulted at decision points, where no
+	// experience is pending. fuzzyNext is the next state's and lives only
+	// inside Observe.
+	fuzzyDec, fuzzyNext fuzzyEnc
+	// qScratch holds blended Q values during a fuzzy decision; it never
+	// outlives the Decide call.
 	qScratch []float64
 
 	// QoS state.
@@ -150,10 +153,10 @@ type Manager struct {
 	decisions int64
 }
 
+// pendingExp is the semi-Markov experience open since the last decision.
+// In fuzzy mode its state is m.fuzzyDec and the state field is unused.
 type pendingExp struct {
 	state   int
-	states  []int // fuzzy components (nil when crisp)
-	weights []float64
 	action  device.StateID
 	reward  float64 // discounted accumulated payoff
 	gpow    float64 // γ^elapsed so far
@@ -163,6 +166,14 @@ type pendingExp struct {
 type completedExp struct {
 	pendingExp
 	nextState int
+}
+
+// fuzzyEnc is the fuzzy encoding of one observation: up to two table
+// states with their membership weights.
+type fuzzyEnc struct {
+	n       int
+	states  [2]int
+	weights [2]float64
 }
 
 var _ slotsim.Learner = (*Manager)(nil)
@@ -257,8 +268,8 @@ func (m *Manager) Reset(stream *rng.Stream) {
 	m.pending = pendingExp{}
 	m.hasSarsa = false
 	m.sarsaReady = completedExp{}
-	m.fuzzyStates = nil
-	m.fuzzyWeights = nil
+	m.fuzzyDec = fuzzyEnc{}
+	m.fuzzyNext = fuzzyEnc{}
 	m.qosLambda = 0
 	m.backlogAcc = 0
 	m.backlogN = 0
@@ -302,9 +313,9 @@ func (m *Manager) encode(phase device.StateID, q int, idle int64) int {
 	return (int(phase)*m.qLevels+m.queueBucket(q))*m.iLevels + m.idleBucket(idle)
 }
 
-// encodeFuzzy returns the fuzzy components of an observation: up to two
-// neighbouring queue levels with triangular membership weights.
-func (m *Manager) encodeFuzzy(phase device.StateID, q int, idle int64) ([]int, []float64) {
+// encodeFuzzy writes the fuzzy components of an observation into e: up to
+// two neighbouring queue levels with triangular membership weights.
+func (m *Manager) encodeFuzzy(e *fuzzyEnc, phase device.StateID, q int, idle int64) {
 	if q < 0 {
 		q = 0
 	}
@@ -319,17 +330,21 @@ func (m *Manager) encodeFuzzy(phase device.StateID, q int, idle int64) ([]int, [
 	primary := (int(phase)*m.qLevels+qb)*m.iLevels + m.idleBucket(idle)
 	neighbour := qb + 1
 	if neighbour >= m.qLevels {
-		return []int{primary}, []float64{1}
+		e.n = 1
+		e.states[0], e.weights[0] = primary, 1
+		return
 	}
 	second := (int(phase)*m.qLevels+neighbour)*m.iLevels + m.idleBucket(idle)
-	return []int{primary, second}, []float64{0.75, 0.25}
+	e.n = 2
+	e.states[0], e.weights[0] = primary, 0.75
+	e.states[1], e.weights[1] = second, 0.25
 }
 
-// blendedQ returns Σ w_i Q(s_i, a).
-func (m *Manager) blendedQ(states []int, weights []float64, act int) float64 {
+// blendedQ returns Σ w_i Q(s_i, a) over the components of e.
+func (m *Manager) blendedQ(e *fuzzyEnc, act int) float64 {
 	v := 0.0
-	for i, s := range states {
-		v += weights[i] * m.agent.Q(s, act)
+	for i := 0; i < e.n; i++ {
+		v += e.weights[i] * m.agent.Q(e.states[i], act)
 	}
 	return v
 }
@@ -357,17 +372,16 @@ func (m *Manager) Decide(obs slotsim.Observation) device.StateID {
 
 	var action int
 	if m.cfg.Fuzzy {
-		states, weights := m.encodeFuzzy(obs.Phase, obs.Queue, obs.IdleSlots)
+		m.encodeFuzzy(&m.fuzzyDec, obs.Phase, obs.Queue, obs.IdleSlots)
 		if cap(m.qScratch) < len(legal) {
 			m.qScratch = make([]float64, len(legal))
 		}
 		qvals := m.qScratch[:len(legal)]
 		for i, a := range legal {
-			qvals[i] = m.blendedQ(states, weights, a)
+			qvals[i] = m.blendedQ(&m.fuzzyDec, a)
 		}
 		idx, _ := m.cfg.Explore.Select(qvals, m.decisions, m.cfg.Stream)
 		action = legal[idx]
-		m.fuzzyStates, m.fuzzyWeights = states, weights
 	} else {
 		s := m.encode(obs.Phase, obs.Queue, obs.IdleSlots)
 		// Complete a pending SARSA update with the action about to be taken.
@@ -422,10 +436,8 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 		p.elapsed = 1
 		if m.cfg.Fuzzy {
 			p.state = 0
-			p.states, p.weights = m.fuzzyStates, m.fuzzyWeights
 		} else {
 			p.state = m.encode(fb.Prev.Phase, fb.Prev.Queue, fb.Prev.IdleSlots)
-			p.states, p.weights = nil, nil
 		}
 		m.hasPending = true
 	} else {
@@ -438,31 +450,35 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 		return // keep accumulating until the next decision point
 	}
 
-	// Decision point reached: apply the update.
-	p := m.pending
+	// Decision point reached: apply the update. The pending experience is
+	// read in place — only SARSA, which finishes it at the next Decide,
+	// keeps a copy — since nothing below writes it before the next
+	// Observe starts a new one.
+	p := &m.pending
 	m.hasPending = false
 	nextLegal := m.legal[fb.Next.Phase]
 
 	switch {
 	case m.cfg.Fuzzy:
-		nStates, nWeights := m.encodeFuzzy(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)
+		next, dec := &m.fuzzyNext, &m.fuzzyDec
+		m.encodeFuzzy(next, fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)
 		// Blended bootstrap: Σ w'_i max_a Q(s'_i, a).
 		boot := 0.0
-		for i, s2 := range nStates {
-			boot += nWeights[i] * m.agent.MaxQ(s2, nextLegal)
+		for i := 0; i < next.n; i++ {
+			boot += next.weights[i] * m.agent.MaxQ(next.states[i], nextLegal)
 		}
 		g := math.Pow(m.cfg.Gamma, float64(p.elapsed))
 		target := p.reward + g*boot
-		cur := m.blendedQ(p.states, p.weights, int(p.action))
+		cur := m.blendedQ(dec, int(p.action))
 		delta := target - cur
-		for i, s := range p.states {
-			// Per-component learning rate from its own visit counter.
+		for i := 0; i < dec.n; i++ {
+			s := dec.states[i]
 			m.agent.SetQ(s, int(p.action),
-				m.agent.Q(s, int(p.action))+m.fuzzyAlpha(s, int(p.action))*p.weights[i]*delta)
+				m.agent.Q(s, int(p.action))+m.fuzzyAlpha(s, int(p.action))*dec.weights[i]*delta)
 		}
 	case m.cfg.Rule == qlearn.SARSA:
-		m.sarsaReady = completedExp{pendingExp: p,
-			nextState: m.encode(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)}
+		m.sarsaReady.pendingExp = *p
+		m.sarsaReady.nextState = m.encode(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)
 		m.hasSarsa = true
 	default:
 		next := m.encode(fb.Next.Phase, fb.Next.Queue, fb.Next.IdleSlots)
@@ -470,10 +486,12 @@ func (m *Manager) Observe(fb *slotsim.Feedback) {
 	}
 }
 
-// fuzzyVisits tracks per-pair visit counts for the fuzzy path.
+// fuzzyAlpha returns the learning rate of one fuzzy component update of
+// (s, act); s and act are unused. Fuzzy updates write the table through
+// SetQ, which advances neither the agent's per-pair visit counters nor
+// Updates(), so Updates()/4+1 stays 1 and the rate is the schedule's
+// first-visit rate — the rate itself under the default Constant schedule.
 func (m *Manager) fuzzyAlpha(s, act int) float64 {
-	// The agent's visit counters are only advanced by Update; fuzzy
-	// updates bypass it, so track approximate visits via Updates().
 	return m.cfg.Alpha.Alpha(m.agent.Updates()/4 + 1)
 }
 

@@ -397,7 +397,10 @@ func mathAbs(x float64) float64 { return math.Abs(x) }
 // TestManagerResetBitIdenticalToFresh: after a full learning run, Reset
 // restores the manager so a second run replays bit-identically to a
 // freshly built manager — the reuse contract the fleet layer's
-// zero-allocation instance lifecycle rests on — without allocating.
+// zero-allocation instance lifecycle rests on — without allocating. The
+// SARSA and fuzzy variants carry extra state across decision points (the
+// completed experience, the in-place fuzzy encodings), so they are
+// covered too.
 func TestManagerResetBitIdenticalToFresh(t *testing.T) {
 	runSim := func(m *Manager, seed uint64) slotsim.Metrics {
 		sim, err := slotsim.New(slotsim.Config{
@@ -418,31 +421,54 @@ func TestManagerResetBitIdenticalToFresh(t *testing.T) {
 		return met
 	}
 
-	reused, err := New(managerConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	runSim(reused, 21) // dirty the table, schedule, and pending state
+	for _, v := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"watkins", func(*Config) {}},
+		{"sarsa", func(c *Config) { c.Rule = qlearn.SARSA }},
+		{"fuzzy", func(c *Config) { c.Fuzzy = true }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			config := func() Config {
+				c := managerConfig(t, 1)
+				v.mut(&c)
+				return c
+			}
+			reused, err := New(config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runSim(reused, 21) // dirty the table, schedule, and pending state
 
-	stream := rng.New(1) // fresh exploration stream, same seed as cfg
-	allocs := testing.AllocsPerRun(1, func() { reused.Reset(stream) })
-	if allocs != 0 {
-		t.Fatalf("Manager.Reset allocates %.1f times", allocs)
-	}
-	reused.Reset(rng.New(1))
-	fresh, err := New(managerConfig(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := runSim(reused, 33), runSim(fresh, 33)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("reset manager run diverges from fresh:\n%+v\nvs\n%+v", a, b)
-	}
-	if reused.Decisions() != fresh.Decisions() {
-		t.Fatalf("decision counters diverge: %d vs %d", reused.Decisions(), fresh.Decisions())
-	}
-	if g, w := reused.Agent().Updates(), fresh.Agent().Updates(); g != w {
-		t.Fatalf("update counters diverge: %d vs %d", g, w)
+			stream := rng.New(1) // fresh exploration stream, same seed as cfg
+			allocs := testing.AllocsPerRun(1, func() { reused.Reset(stream) })
+			if allocs != 0 {
+				t.Fatalf("Manager.Reset allocates %.1f times", allocs)
+			}
+			reused.Reset(rng.New(1))
+			fresh, err := New(config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := runSim(reused, 33), runSim(fresh, 33)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("reset manager run diverges from fresh:\n%+v\nvs\n%+v", a, b)
+			}
+			if reused.Decisions() != fresh.Decisions() {
+				t.Fatalf("decision counters diverge: %d vs %d", reused.Decisions(), fresh.Decisions())
+			}
+			if g, w := reused.Agent().Updates(), fresh.Agent().Updates(); g != w {
+				t.Fatalf("update counters diverge: %d vs %d", g, w)
+			}
+			for s := 0; s < fresh.NumStates(); s++ {
+				for act := 0; act < synthDev(t).PSM.NumStates(); act++ {
+					if g, w := reused.Agent().Q(s, act), fresh.Agent().Q(s, act); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("Q(%d,%d) = %v after reset, %v fresh", s, act, g, w)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -52,15 +52,29 @@ func TestMapNilPool(t *testing.T) {
 	}
 }
 
+// TestMapFirstErrorCancelsRest gates every job after the failing one on
+// the cancellation that failure triggers, so the outcome does not depend
+// on goroutine scheduling: without the gate, the worker holding job 3
+// could be descheduled while the other drained all 1000 jobs.
 func TestMapFirstErrorCancelsRest(t *testing.T) {
-	var started atomic.Int64
+	var started, succeeded atomic.Int64
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), &Pool{Workers: 2}, 1000,
+	results, err := Map(context.Background(), &Pool{Workers: 2}, 1000,
 		func(ctx context.Context, i int) (int, error) {
 			started.Add(1)
-			if i == 3 {
+			switch {
+			case i == 3:
 				return 0, boom
+			case i > 3:
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				case <-time.After(10 * time.Second):
+					t.Errorf("job %d: not cancelled after job 3 failed", i)
+					return 0, nil
+				}
 			}
+			succeeded.Add(1)
 			return i, nil
 		})
 	if !errors.Is(err, boom) {
@@ -68,6 +82,15 @@ func TestMapFirstErrorCancelsRest(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "job 3") {
 		t.Errorf("error %q does not name the failing job", err)
+	}
+	// Only the jobs before the failure may succeed.
+	if n := succeeded.Load(); n > 3 {
+		t.Errorf("%d jobs succeeded, want at most the 3 before the failure", n)
+	}
+	for i := 4; i < len(results); i++ {
+		if results[i] != 0 {
+			t.Fatalf("job %d stored result %d after the failure", i, results[i])
+		}
 	}
 	// Cancellation must stop dispatch well before all 1000 jobs run.
 	if n := started.Load(); n == 1000 {

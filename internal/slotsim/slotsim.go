@@ -331,16 +331,31 @@ func (s *Sim) Step() SlotRecord {
 // entirely, and together with the preallocated policy scratch buffers it
 // performs no per-slot heap allocations (guarded by BenchmarkRunBare's
 // -benchmem output).
+//
+// The learner's feedback lives in the persistent s.fb scratch and is
+// filled one field at a time — Prev here, Next from the values step
+// already holds — because an Observe() result or a composite literal is a
+// temporary that then gets block-copied into the scratch, and those
+// copies of the two-observation record were a large share of a Q-DPM
+// slot's CPU profile.
 func (s *Sim) step(rec *SlotRecord) {
 	dev := s.cfg.Device
-	prev := s.Observe()
+	slot := s.slot
+	prev := &s.fb.Prev
+	prev.Phase = s.phase
+	prev.Transitioning = s.transLeft > 0
+	prev.TransTarget = s.transTo
+	prev.TransRemaining = s.transLeft
+	prev.Queue = s.q.Len()
+	prev.IdleSlots = s.idleSlots
+	prev.Slot = slot
 
 	// 1. Decision.
 	action := s.phase
 	if s.transLeft > 0 {
 		action = s.transTo
 	} else {
-		want := s.cfg.Policy.Decide(prev)
+		want := s.cfg.Policy.Decide(*prev)
 		if want != s.phase {
 			if int(want) >= 0 && int(want) < dev.PSM.NumStates() && dev.TransSlots[s.phase][want] >= 0 {
 				action = want
@@ -410,7 +425,7 @@ func (s *Sim) step(rec *SlotRecord) {
 
 	s.slot++
 	if rec != nil {
-		rec.Slot = prev.Slot
+		rec.Slot = slot
 		rec.Energy = slotEnergy
 		rec.Cost = cost
 		rec.Backlog = backlog
@@ -422,22 +437,27 @@ func (s *Sim) step(rec *SlotRecord) {
 	}
 
 	if s.learner != nil {
-		// Written into persistent scratch and passed by pointer: the
-		// feedback record is two embedded observations wide, and copying
-		// it down the learner call chain (adapter, manager) shows up in
-		// fleet profiles. Receivers must not retain the pointer (the
-		// Learner contract).
-		s.fb = Feedback{
-			Prev:    prev,
-			Action:  action,
-			Energy:  slotEnergy,
-			Cost:    cost,
-			Served:  served,
-			Arrived: arrived,
-			Lost:    lost,
-			Next:    s.Observe(),
-		}
-		s.learner.Observe(&s.fb)
+		// Passed by pointer: copying the record down the learner call
+		// chain (adapter, manager) shows up in fleet profiles. Receivers
+		// must not retain the pointer (the Learner contract). Next is
+		// what Observe() would return now: nothing after service touches
+		// the queue, so its length is the backlog.
+		fb := &s.fb
+		fb.Action = action
+		fb.Energy = slotEnergy
+		fb.Cost = cost
+		fb.Served = served
+		fb.Arrived = arrived
+		fb.Lost = lost
+		next := &fb.Next
+		next.Phase = s.phase
+		next.Transitioning = s.transLeft > 0
+		next.TransTarget = s.transTo
+		next.TransRemaining = s.transLeft
+		next.Queue = backlog
+		next.IdleSlots = s.idleSlots
+		next.Slot = s.slot
+		s.learner.Observe(fb)
 	}
 }
 

@@ -23,14 +23,6 @@ type gotoPolicy struct{ target device.StateID }
 func (p gotoPolicy) Name() string                      { return "goto" }
 func (p gotoPolicy) Decide(Observation) device.StateID { return p.target }
 
-// recordingLearner captures feedback for assertions.
-type recordingLearner struct {
-	stayPolicy
-	fbs []Feedback
-}
-
-func (r *recordingLearner) Observe(fb *Feedback) { r.fbs = append(r.fbs, *fb) }
-
 func synth() *device.Slotted {
 	s, err := device.Synthetic3().Slot(0.5)
 	if err != nil {
@@ -269,23 +261,77 @@ func TestOutOfRangeCommandClamped(t *testing.T) {
 	}
 }
 
+// scriptLearner cycles through a fixed command script — settled targets,
+// multi-slot sleep/wake transitions, instant switches, and out-of-range
+// states the simulator must clamp — and keeps a copy of each feedback.
+type scriptLearner struct {
+	script []device.StateID
+	next   int
+	fbs    []Feedback
+}
+
+func (l *scriptLearner) Name() string { return "script" }
+func (l *scriptLearner) Decide(Observation) device.StateID {
+	c := l.script[l.next%len(l.script)]
+	l.next++
+	return c
+}
+func (l *scriptLearner) Observe(fb *Feedback) { l.fbs = append(l.fbs, *fb) }
+
+// TestLearnerReceivesFeedback pins the feedback record the simulator
+// fills field by field: on every slot, Prev is exactly Observe() before
+// the step, Next exactly Observe() after it, and the per-slot fields
+// match the slot record. The script drives Synthetic3 (sleep→active is a
+// 3-slot transition, active↔idle instant) through every path that
+// changes the observation: transitions, instant switches, clamped
+// commands, queue overflow, and idle saturation.
 func TestLearnerReceivesFeedback(t *testing.T) {
-	l := &recordingLearner{}
-	sim, err := New(baseConfig(l, 0.5, 10))
+	l := &scriptLearner{script: []device.StateID{
+		2, 2, 2, 0, 1, 7, 0, 0, 2, -1, 1, 1, 0, 2, 0, 1, 1, 1, 1, 0,
+	}}
+	cfg := baseConfig(l, 0.45, 10)
+	cfg.QueueCap = 2
+	cfg.IdleSaturation = 3
+	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(100, nil)
-	if len(l.fbs) != 100 {
-		t.Fatalf("learner saw %d feedbacks, want 100", len(l.fbs))
-	}
-	for i, fb := range l.fbs {
-		if fb.Next.Slot != fb.Prev.Slot+1 {
-			t.Fatalf("feedback %d: slots %d -> %d", i, fb.Prev.Slot, fb.Next.Slot)
+	const slots = 3000
+	var transitions, instant, saturated int
+	for i := 0; i < slots; i++ {
+		before := sim.Observe()
+		rec := sim.Step()
+		after := sim.Observe()
+		if len(l.fbs) != i+1 {
+			t.Fatalf("slot %d: learner saw %d feedbacks, want %d", i, len(l.fbs), i+1)
+		}
+		fb := l.fbs[i]
+		if fb.Prev != before {
+			t.Fatalf("slot %d: fb.Prev = %+v, want Observe() before the step %+v", i, fb.Prev, before)
+		}
+		if fb.Next != after {
+			t.Fatalf("slot %d: fb.Next = %+v, want Observe() after the step %+v", i, fb.Next, after)
+		}
+		if fb.Energy != rec.Energy || fb.Cost != rec.Cost || fb.Arrived != rec.Arrived ||
+			fb.Served != rec.Served || fb.Lost != rec.Lost || fb.Next.Queue != rec.Backlog {
+			t.Fatalf("slot %d: feedback %+v disagrees with record %+v", i, fb, rec)
 		}
 		if fb.Energy < 0 || fb.Cost < fb.Energy {
-			t.Fatalf("feedback %d: energy %v cost %v", i, fb.Energy, fb.Cost)
+			t.Fatalf("slot %d: energy %v cost %v", i, fb.Energy, fb.Cost)
 		}
+		if rec.Transitioning {
+			transitions++
+		} else if !before.Transitioning && fb.Action != before.Phase {
+			instant++
+		}
+		if after.IdleSlots == cfg.IdleSaturation && before.IdleSlots == cfg.IdleSaturation {
+			saturated++
+		}
+	}
+	m := sim.Metrics()
+	if transitions == 0 || instant == 0 || saturated == 0 || m.Clamped == 0 || m.Lost == 0 {
+		t.Fatalf("run misses a path: %d transition slots, %d instant switches, %d saturated idle slots, %d clamped, %d lost",
+			transitions, instant, saturated, m.Clamped, m.Lost)
 	}
 }
 
