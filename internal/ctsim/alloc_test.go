@@ -3,8 +3,10 @@ package ctsim_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ctsim"
 	"repro/internal/device"
+	"repro/internal/qlearn"
 	"repro/internal/rng"
 )
 
@@ -150,31 +152,49 @@ func TestResetMatchesFresh(t *testing.T) {
 // TestCTHotPathAllocationFree is the continuous-time analog of core's
 // slotted-path gate: after warm-up (arena grown to its standing event
 // population, queue ring sized), the event loop — arrivals, service,
-// transitions, governor ticks, wake timers — performs no heap
-// allocations. This is the allocation-regression gate CI relies on.
+// transitions, governor ticks, wake timers, and the learner's per-tick
+// feedback through the slot adapter — performs no heap allocations.
+// This is the allocation-regression gate CI relies on.
 func TestCTHotPathAllocationFree(t *testing.T) {
 	psm := device.Synthetic3()
 	for _, tc := range []struct {
-		name     string
-		governor bool
+		name   string
+		policy func(t *testing.T) ctsim.Policy
+		period float64
 	}{
-		{"governor", true},
-		{"event-driven", false},
+		{"governor", func(*testing.T) ctsim.Policy {
+			return ctsim.Adapt(benchTimeout{deep: device.StateID(psm.NumStates() - 1), slots: 8}, 0.5)
+		}, 0.5},
+		{"governor-qdpm", func(t *testing.T) ctsim.Policy {
+			// The fleet's Q-DPM configuration (fleet.buildSlotPolicy).
+			dev, err := psm.Slot(0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := core.New(core.Config{
+				Device: dev, QueueCap: 8, LatencyWeight: 0.6,
+				Explore: qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
+				Alpha:   qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
+				Stream:  rng.New(5),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ctsim.Adapt(m, 0.5)
+		}, 0.5},
+		{"event-driven", func(t *testing.T) ctsim.Policy {
+			pol, err := ctsim.NewTimeout(psm, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pol
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := ctsim.Config{
 				Device: psm, QueueCap: 8, LatencyWeight: 0.6,
 				Source: expSource(t, 1.5), Stream: rng.New(4),
-			}
-			if tc.governor {
-				cfg.DecisionPeriod = 0.5
-				cfg.Policy = ctsim.Adapt(benchTimeout{deep: device.StateID(psm.NumStates() - 1), slots: 8}, 0.5)
-			} else {
-				pol, err := ctsim.NewTimeout(psm, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Policy = pol
+				DecisionPeriod: tc.period, Policy: tc.policy(t),
 			}
 			sim, err := ctsim.New(cfg)
 			if err != nil {

@@ -137,3 +137,28 @@ func BenchmarkCTReplicaTraceEventDriven(b *testing.B) {
 	const warm = 256.0
 	benchRun(b, benchSim(b, benchTraceSource(b, 0.8, warm+float64(b.N)+1), false))
 }
+
+// BenchmarkAdapterLearnerTick: the slot adapter's share of one governor
+// tick for a slotted learner — the closing feedback (Prev replayed from
+// the quantization memo, Next quantized) and the decision on Next
+// (replayed) — over a no-op learner, so only the adapter is timed.
+func BenchmarkAdapterLearnerTick(b *testing.B) {
+	ad := ctsim.Adapt(nopLearner{}, 0.5).(ctsim.Learner)
+	fb := ctsim.Feedback{Next: ctsim.Observation{Phase: 1, IdleTime: 0.25}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fb.Prev = fb.Next
+		fb.Next.Now += 0.5
+		fb.Next.IdleTime += 0.5
+		fb.Next.Queue = i & 3
+		ad.Observe(&fb)
+		ad.Decide(fb.Next)
+	}
+}
+
+// nopLearner is a slotted learner that does nothing.
+type nopLearner struct{}
+
+func (nopLearner) Name() string                                { return "nop" }
+func (nopLearner) Decide(o slotsim.Observation) device.StateID { return o.Phase }
+func (nopLearner) Observe(*slotsim.Feedback)                   {}

@@ -326,7 +326,9 @@ func (m *Metrics) LossRate() float64 {
 // event slots through its arena free list (the tick, wake, arrival,
 // service, and transition events each cycle through their own recycled
 // slot), and the timed queue is a growth-amortized power-of-two ring.
-// BenchmarkCTReplica* and TestCTHotPathAllocationFree guard this.
+// BenchmarkCTReplica* and TestCTHotPathAllocationFree guard this. A
+// decision point also copies little: it builds its observation once, in
+// the fb scratch, and passes it on by pointer (see fb for the lifetimes).
 type Sim struct {
 	cfg     Config
 	k       *eventq.Kernel
@@ -408,18 +410,26 @@ type Sim struct {
 	// Policy wake timer (event-driven mode).
 	wakeEv eventq.Ref
 
-	// Learner epoch bases.
+	// Learner epoch bases (the epoch's opening observation is fb.Prev).
 	haveEpoch   bool
-	epochObs    Observation
 	epochEnergy float64
 	epochCost   float64
 	epochArr    int64
 	epochSrv    int64
 	epochLost   int64
 
-	// fb is the per-interval feedback scratch, rewritten on every
-	// emitFeedback and passed to the learner by pointer (the Learner
-	// contract: receivers copy what they keep).
+	// fb is the per-interval feedback scratch, passed to the learner by
+	// pointer (the Learner contract: receivers copy what they keep and
+	// modify nothing). It doubles as the observation scratch, so a
+	// decision point builds its observation exactly once:
+	//
+	//   - fb.Next is the current decision point's observation. tick and
+	//     decisionPoint write it field by field, emitFeedback delivers it
+	//     in place, and decide reads it through a pointer; it is valid
+	//     until the next decision point overwrites it.
+	//   - fb.Prev is the open learner epoch's opening observation,
+	//     copied from fb.Next by openEpoch and read by the next
+	//     emitFeedback. It is meaningful only while haveEpoch is set.
 	fb Feedback
 
 	metrics Metrics
@@ -556,7 +566,7 @@ func (s *Sim) apply(cfg Config) error {
 	s.transEv = eventq.Ref{}
 	s.wakeEv = eventq.Ref{}
 	s.haveEpoch = false
-	s.epochObs = Observation{}
+	s.fb.Prev = Observation{}
 	s.epochEnergy = 0
 	s.epochCost = 0
 	s.epochArr = 0
@@ -713,21 +723,26 @@ func (s *Sim) MetricsView() *Metrics {
 }
 
 // Observe returns the current observation without advancing time.
-func (s *Sim) Observe() Observation { return s.observe(s.k.Now()) }
+func (s *Sim) Observe() Observation {
+	var o Observation
+	s.observeInto(&o, s.k.Now())
+	return o
+}
 
-func (s *Sim) observe(now float64) Observation {
-	o := Observation{
-		Phase:       s.phase,
-		TransTarget: s.transTarget,
-		Queue:       s.q.Len(),
-		IdleTime:    now - s.lastArrival,
-		Now:         now,
-	}
+// observeInto writes the observation at now into *o field by field; a
+// returned struct would be a temporary block-copied into the caller's
+// scratch.
+func (s *Sim) observeInto(o *Observation, now float64) {
+	o.Phase = s.phase
+	o.Transitioning = s.transInProg
+	o.TransTarget = s.transTarget
+	o.TransRemaining = 0
 	if s.transInProg {
-		o.Transitioning = true
 		o.TransRemaining = s.transEnd - now
 	}
-	return o
+	o.Queue = s.q.Len()
+	o.IdleTime = now - s.lastArrival
+	o.Now = now
 }
 
 // advance integrates energy and state occupancy up to t, settling a
@@ -996,8 +1011,9 @@ func (s *Sim) tick(now float64) {
 		// when the next tick falls beyond it.)
 		return
 	}
-	obs := s.observe(now)
-	s.emitFeedback(now, obs)
+	obs := &s.fb.Next
+	s.observeInto(obs, now)
+	s.emitFeedback(now)
 	if s.transInProg {
 		s.lastAction = s.transTarget
 	} else if s.faulted {
@@ -1013,7 +1029,7 @@ func (s *Sim) tick(now float64) {
 			s.maybeStartService(now)
 		}
 	}
-	s.openEpoch(now, obs)
+	s.openEpoch(now)
 	if next := now + per; next <= s.hardHorizon {
 		s.k.Schedule(next, s.hTick)
 	}
@@ -1027,15 +1043,17 @@ func (s *Sim) decisionPoint(now float64) {
 		return
 	}
 	s.advance(now)
-	obs := s.observe(now)
-	s.emitFeedback(now, obs)
+	obs := &s.fb.Next
+	s.observeInto(obs, now)
+	s.emitFeedback(now)
 	s.decide(now, obs)
 	s.maybeStartService(now)
-	s.openEpoch(now, obs)
+	s.openEpoch(now)
 }
 
-// emitFeedback closes the current learner epoch against obs.
-func (s *Sim) emitFeedback(now float64, obs Observation) {
+// emitFeedback closes the current learner epoch against the decision
+// point's observation, already in s.fb.Next.
+func (s *Sim) emitFeedback(now float64) {
 	if s.learner == nil || !s.haveEpoch {
 		return
 	}
@@ -1046,16 +1064,15 @@ func (s *Sim) emitFeedback(now float64, obs Observation) {
 	energy := s.metrics.EnergyJ - s.epochEnergy
 	cost := energy + s.cfg.LatencyWeight*(backlog-s.epochCost)
 	// Filled field by field: a composite literal would build a temporary
-	// Feedback and block-copy it into the scratch.
-	s.fb.Prev = s.epochObs
+	// Feedback and block-copy it into the scratch. Prev and Next are
+	// already in place (openEpoch, observeInto).
 	s.fb.Action = s.lastAction
-	s.fb.Sojourn = now - s.epochObs.Now
+	s.fb.Sojourn = now - s.fb.Prev.Now
 	s.fb.Energy = energy
 	s.fb.Cost = cost
 	s.fb.Served = int(s.metrics.Served - s.epochSrv)
 	s.fb.Arrived = int(s.metrics.Arrived - s.epochArr)
 	s.fb.Lost = int(s.metrics.Lost - s.epochLost)
-	s.fb.Next = obs
 	s.learner.Observe(&s.fb)
 }
 
@@ -1066,12 +1083,12 @@ func (s *Sim) emitFeedback(now float64, obs Observation) {
 // Without a learner there is no feedback consumer, so the snapshot is
 // skipped entirely — baseline policies pay nothing for the epoch
 // machinery.
-func (s *Sim) openEpoch(now float64, obs Observation) {
+func (s *Sim) openEpoch(now float64) {
 	if s.learner == nil {
 		return
 	}
 	s.haveEpoch = true
-	s.epochObs = obs
+	s.fb.Prev = s.fb.Next
 	s.epochEnergy = s.metrics.EnergyJ
 	backlog := s.metrics.BacklogSeconds
 	if dt := now - s.backlogT; dt > 0 {
@@ -1083,10 +1100,10 @@ func (s *Sim) openEpoch(now float64, obs Observation) {
 	s.epochLost = s.metrics.Lost
 }
 
-// decide consults the policy and executes its command.
-func (s *Sim) decide(now float64, obs Observation) {
+// decide consults the policy on *obs and executes its command.
+func (s *Sim) decide(now float64, obs *Observation) {
 	s.metrics.Decisions++
-	d := s.cfg.Policy.Decide(obs)
+	d := s.cfg.Policy.Decide(*obs)
 	target := d.Target
 	s.lastAction = s.phase
 	dev := s.cfg.Device

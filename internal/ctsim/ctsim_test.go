@@ -282,6 +282,75 @@ func TestAdapterIdleQuantization(t *testing.T) {
 	}
 }
 
+// TestAdapterLearnerQuantizationAliasing feeds scripted feedback through
+// the learner adapter, whose quantizer writes every result into one
+// memoized scratch. Prev is quantized first and Next second, so a Prev
+// read after Next overwrote the scratch, or a memo replayed for a
+// different observation at the same instant, would hand the learner a
+// wrong observation. Each side must equal what a fresh, unmemoized
+// adapter makes of it, and so must the observation behind every Decide
+// interleaved with the feedback.
+func TestAdapterLearnerQuantizationAliasing(t *testing.T) {
+	fresh := func(slot float64, o ctsim.Observation) slotsim.Observation {
+		p := &probePolicy{}
+		ctsim.Adapt(p, slot).Decide(o)
+		return p.last
+	}
+	a := ctsim.Observation{Phase: 1, Queue: 2, IdleTime: 0.75, Now: 1}
+	b := ctsim.Observation{Phase: 2, Transitioning: true, TransTarget: 0, TransRemaining: 0.8, Queue: 0, IdleTime: 1.3, Now: 1.5}
+	c := b
+	c.Queue = 3 // same instant as b, different backlog
+	d := ctsim.Observation{Phase: 0, Queue: 1, IdleTime: 40, Now: 1.5}
+	script := []ctsim.Feedback{
+		{Prev: a, Next: b},              // Prev ≠ Next
+		{Prev: b, Next: c},              // Prev is the memoized Next; same Now, Queue differs
+		{Prev: c, Next: b},              // and back
+		{Prev: d, Next: d},              // Prev == Next
+		{Prev: a, Action: 1, Next: a},   // memo holds d; both sides miss then hit
+		{Prev: b, Next: c, Energy: 0.5}, // repeat after the memo moved on
+	}
+	for _, slot := range []float64{0.5, 0.3} { // power-of-two multiply and divide paths
+		l := &scriptLearner{}
+		ad := ctsim.Adapt(l, slot).(ctsim.Learner)
+		for i := range script {
+			fb := script[i]
+			ad.Observe(&fb)
+			got := l.fbs[len(l.fbs)-1]
+			if want := fresh(slot, fb.Prev); got.Prev != want {
+				t.Errorf("slot %v, feedback %d: Prev quantized to %+v, want %+v", slot, i, got.Prev, want)
+			}
+			if want := fresh(slot, fb.Next); got.Next != want {
+				t.Errorf("slot %v, feedback %d: Next quantized to %+v, want %+v", slot, i, got.Next, want)
+			}
+			if got.Action != fb.Action || got.Energy != fb.Energy {
+				t.Errorf("slot %v, feedback %d: scalars %+v, want action %d energy %v", slot, i, got, fb.Action, fb.Energy)
+			}
+			for _, o := range []ctsim.Observation{fb.Next, fb.Prev, fb.Next} {
+				ad.Decide(o)
+				if want := fresh(slot, o); l.decided != want {
+					t.Errorf("slot %v, feedback %d: Decide saw %+v, want %+v", slot, i, l.decided, want)
+				}
+			}
+		}
+	}
+}
+
+// scriptLearner is a slotsim.Learner that records every feedback record
+// and decision input it is handed.
+type scriptLearner struct {
+	fbs     []slotsim.Feedback
+	decided slotsim.Observation
+}
+
+func (l *scriptLearner) Name() string { return "script" }
+
+func (l *scriptLearner) Decide(o slotsim.Observation) device.StateID {
+	l.decided = o
+	return o.Phase
+}
+
+func (l *scriptLearner) Observe(fb *slotsim.Feedback) { l.fbs = append(l.fbs, *fb) }
+
 // probePolicy is a slotsim.Policy that records the observation it is
 // handed, exposing what the adapter's quantization produced.
 type probePolicy struct{ last slotsim.Observation }

@@ -37,8 +37,9 @@ type Learner interface {
 	Policy
 	// Observe delivers the outcome of each decision interval. fb points
 	// into scratch the simulator reuses every interval: it is valid only
-	// for the duration of the call, and implementations must copy any
-	// fields they keep.
+	// for the duration of the call, implementations must copy any fields
+	// they keep, and they must not modify it (fb.Next is also the
+	// observation the interval's closing decision is made on).
 	Observe(fb *Feedback)
 }
 
@@ -136,6 +137,11 @@ func (p *Timeout) Decide(obs Observation) Decision {
 // governor: continuous observations are quantized onto the reference slot
 // (idle seconds → saturating idle-slot count, clock → slot index), so the
 // slotted policy sees exactly the observation stream it was written for.
+//
+// sObs quantizes into the single scratch out and returns a pointer to
+// it, so the result is valid only until the next sObs call: a caller
+// that quantizes two observations (Observe: Prev, then Next) copies the
+// first out before quantizing the second.
 type slotAdapter struct {
 	p    slotsim.Policy
 	slot float64
@@ -147,6 +153,9 @@ type slotAdapter struct {
 	// hardware divides per quantization on the canonical 0.5 s grid.
 	invSlot float64
 
+	// out is the quantized-observation scratch sObs returns.
+	out slotsim.Observation
+
 	// Single-entry quantization memo, armed only for learner adapters.
 	// Under the periodic governor each learner tick quantizes the same
 	// observation up to three times — once as the closing feedback's
@@ -156,9 +165,9 @@ type slotAdapter struct {
 	// Non-learner adapters quantize once per tick and would only pay
 	// the memo store. sObs is a pure function of its input for a given
 	// slot/sat, so replaying the memo is bit-identical to recomputing.
+	// The memo's output is out itself: only sObs writes it.
 	memoize bool
 	memoIn  Observation
-	memoOut slotsim.Observation
 	memoOK  bool
 }
 
@@ -201,12 +210,13 @@ func Adapt(p slotsim.Policy, refSlot float64) Policy {
 // Name identifies the wrapped policy.
 func (a *slotAdapter) Name() string { return a.p.Name() }
 
-// sObs quantizes a continuous observation onto the reference slot grid.
-func (a *slotAdapter) sObs(o Observation) slotsim.Observation {
+// sObs quantizes a continuous observation onto the reference slot grid
+// into a.out and returns a pointer to it (valid until the next call).
+func (a *slotAdapter) sObs(o *Observation) *slotsim.Observation {
 	// Now advances between ticks, so comparing it first short-circuits
 	// almost every miss before the full struct equality.
-	if a.memoOK && o.Now == a.memoIn.Now && o == a.memoIn {
-		return a.memoOut
+	if a.memoOK && o.Now == a.memoIn.Now && *o == a.memoIn {
+		return &a.out
 	}
 	var idleSlots, now float64
 	if a.invSlot != 0 {
@@ -222,37 +232,41 @@ func (a *slotAdapter) sObs(o Observation) slotsim.Observation {
 	if o.Transitioning {
 		trem = int(math.Ceil(o.TransRemaining/a.slot - 1e-9))
 	}
-	out := slotsim.Observation{
-		Phase:          o.Phase,
-		Transitioning:  o.Transitioning,
-		TransTarget:    o.TransTarget,
-		TransRemaining: trem,
-		Queue:          o.Queue,
-		IdleSlots:      idle,
-		Slot:           int64(math.Round(now)),
-	}
+	// Filled field by field: a composite literal would build a temporary
+	// and block-copy it into the scratch.
+	out := &a.out
+	out.Phase = o.Phase
+	out.Transitioning = o.Transitioning
+	out.TransTarget = o.TransTarget
+	out.TransRemaining = trem
+	out.Queue = o.Queue
+	out.IdleSlots = idle
+	out.Slot = int64(math.Round(now))
 	if a.memoize {
-		a.memoIn, a.memoOut, a.memoOK = o, out, true
+		a.memoIn, a.memoOK = *o, true
 	}
 	return out
 }
 
 // Decide forwards the quantized observation.
 func (a *slotAdapter) Decide(o Observation) Decision {
-	return Decision{Target: a.p.Decide(a.sObs(o))}
+	return Decision{Target: a.p.Decide(*a.sObs(&o))}
 }
 
 // Observe forwards the interval outcome as one slot of feedback. The
 // scratch record is filled field by field — a composite literal would
 // build a temporary Feedback and block-copy it into the scratch.
+//
+// Prev is copied out of the sObs scratch before Next is quantized into
+// it.
 func (a *slotLearnerAdapter) Observe(fb *Feedback) {
-	a.sfb.Prev = a.sObs(fb.Prev)
+	a.sfb.Prev = *a.sObs(&fb.Prev)
 	a.sfb.Action = fb.Action
 	a.sfb.Energy = fb.Energy
 	a.sfb.Cost = fb.Cost
 	a.sfb.Served = fb.Served
 	a.sfb.Arrived = fb.Arrived
 	a.sfb.Lost = fb.Lost
-	a.sfb.Next = a.sObs(fb.Next)
+	a.sfb.Next = *a.sObs(&fb.Next)
 	a.l.Observe(&a.sfb)
 }

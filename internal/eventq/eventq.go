@@ -30,6 +30,15 @@
 //     by (time, seq) with seq a schedule-order counter, so simultaneous
 //     events fire FIFO and the fire order is byte-for-byte the order the
 //     previous container/heap kernel produced.
+//   - Events fire in place (the "hold" operation of D. W. Jones, "An
+//     empirical comparison of priority-queue and event-set
+//     implementations", CACM 29(4), 1986): Step releases the minimum's
+//     arena slot but leaves its node at the heap root while the handler
+//     runs. Its key is below every queued key, so the heap stays valid.
+//     The handler's first Schedule overwrites that spent root and sifts
+//     it down once — one sift per rescheduling event instead of a
+//     delete-min percolation followed by an insert. A handler that
+//     schedules nothing has the spent root popped when it returns.
 //
 // Callers refer to scheduled events through Ref handles (index +
 // generation). A slot's generation bumps every time it is released, so a
@@ -46,7 +55,7 @@
 // fleet's shared-clock coupled groups, the shared-resource arbiters)
 // leans on that FIFO tie-break for its bit-identical determinism
 // contract, and both backings (New and NewCalendar) honor it
-// identically (TestKernelPropertyAllKernels pins the equivalence).
+// identically (TestArenaMatchesReferenceHeap pins the equivalence).
 //
 // # Reuse contract
 //
@@ -164,6 +173,14 @@ type Kernel struct {
 	fired   uint64
 	stopped bool
 
+	// spent reports that heap[0] is the node of the event whose handler
+	// is running: its arena slot is already released, so no Ref reaches
+	// it, and it is not counted as queued. Its key is below every queued
+	// key, so no sift (Cancel's included) moves it. The next Schedule
+	// overwrites it in place; Step pops it if the handler scheduled
+	// nothing.
+	spent bool
+
 	// Calendar backing (cal == true); see calendar.go.
 	cal        bool
 	buckets    []int32 // chain heads (slot+1 form), sorted by (time, seq)
@@ -186,6 +203,9 @@ func (k *Kernel) Reset() {
 	if k.cal {
 		k.calReset()
 	} else {
+		if k.spent {
+			k.dropSpent() // its slot is already released
+		}
 		for _, nd := range k.heap {
 			k.release(nd.idx)
 		}
@@ -209,6 +229,9 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 func (k *Kernel) Len() int {
 	if k.cal {
 		return k.nCal
+	}
+	if k.spent {
+		return len(k.heap) - 1
 	}
 	return len(k.heap)
 }
@@ -265,6 +288,11 @@ func (k *Kernel) release(idx int32) {
 // Schedule queues fn to run at time t. Scheduling in the past (t < Now) is
 // an error; scheduling exactly at Now is allowed and runs after currently
 // queued events at Now (FIFO).
+//
+// The first Schedule from inside a handler takes the firing event's
+// spent heap root (see Step): the new node overwrites it and sifts down
+// once. Its key is above the spent one, so the root is the only place
+// it can violate heap order. Later calls append and sift up.
 func (k *Kernel) Schedule(t float64, fn Handler) (Ref, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return Ref{}, fmt.Errorf("eventq: schedule time %v is not finite", t)
@@ -283,6 +311,10 @@ func (k *Kernel) Schedule(t float64, fn Handler) (Ref, error) {
 	k.seq++
 	if k.cal {
 		k.calInsert(idx)
+	} else if k.spent {
+		k.spent = false
+		k.heap[0] = heapNode{key: timeKey(e.time), seq: e.seq, idx: idx}
+		k.siftDown(0)
 	} else {
 		i := len(k.heap)
 		k.heap = append(k.heap, heapNode{key: timeKey(e.time), seq: e.seq, idx: idx})
@@ -321,6 +353,16 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Step fires the earliest pending event. It returns false when the queue
 // is empty.
+//
+// On the heap backing the event fires in place: its arena slot is
+// released before the handler runs — every Ref to it is stale from then
+// on, and a rescheduling handler (the steady-state pattern) reuses that
+// very slot — but its node stays at the heap root until the handler's
+// first Schedule overwrites it (see Schedule). If the handler schedules
+// nothing, the spent root is popped after it returns. A Step called from
+// inside a handler (directly or through Run) first pops the spent root,
+// so it fires the next queued event exactly as it would have without
+// fire-in-place and never fires the running event again.
 func (k *Kernel) Step() bool {
 	var idx int32
 	if k.cal {
@@ -329,21 +371,34 @@ func (k *Kernel) Step() bool {
 		}
 		k.calPop(idx)
 	} else {
+		if k.spent {
+			k.dropSpent()
+		}
 		if len(k.heap) == 0 {
 			return false
 		}
-		idx = k.popMin()
+		idx = k.heap[0].idx
+		k.spent = true
 	}
 	e := &k.arena[idx]
 	t, fn := e.time, e.fn
-	// Release before invoking the handler so a rescheduling handler (the
-	// steady-state pattern) reuses this very slot without growing the
-	// arena. e is invalid past this point: the handler may grow the arena.
+	// Release before invoking the handler so a rescheduling handler reuses
+	// this very slot without growing the arena. e is invalid past this
+	// point: the handler may grow the arena.
 	k.release(idx)
 	k.now = t
 	k.fired++
 	fn(t)
+	if k.spent {
+		k.dropSpent()
+	}
 	return true
+}
+
+// dropSpent pops the spent root left by an event fired in place.
+func (k *Kernel) dropSpent() {
+	k.spent = false
+	k.popMin()
 }
 
 // Run executes events until the queue is empty, Stop is called, or the
