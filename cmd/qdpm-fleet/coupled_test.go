@@ -64,35 +64,6 @@ func TestRunCoupledDeterministicAcrossPools(t *testing.T) {
 	}
 }
 
-// TestRunKernelFlagOutputIdentity: -kernel calendar produces stdout
-// byte-identical to the default heap backing (the two kernels fire in
-// the same (time, seq) order), uncoupled and coupled; bogus kinds are
-// rejected.
-func TestRunKernelFlagOutputIdentity(t *testing.T) {
-	cases := map[string][]string{
-		"uncoupled": {"-devices", "80", "-horizon", "40", "-seed", "5"},
-		"coupled":   {"-devices", "80", "-horizon", "40", "-seed", "5", "-couple", "channel"},
-	}
-	for name, base := range cases {
-		t.Run(name, func(t *testing.T) {
-			var heap, cal bytes.Buffer
-			if err := run(context.Background(), &heap, append(base, "-kernel", "heap")); err != nil {
-				t.Fatal(err)
-			}
-			if err := run(context.Background(), &cal, append(base, "-kernel", "calendar")); err != nil {
-				t.Fatal(err)
-			}
-			if heap.String() != cal.String() {
-				t.Fatalf("output differs across -kernel kinds:\n%s\nvs\n%s", heap.String(), cal.String())
-			}
-		})
-	}
-	var out bytes.Buffer
-	if err := run(context.Background(), &out, []string{"-devices", "10", "-kernel", "splay"}); err == nil {
-		t.Fatal("bogus -kernel accepted")
-	}
-}
-
 // TestRunCoupledJSONReport: the coupled -json report carries the
 // coupling echo and interference blocks, fleet-level and per group;
 // uncoupled JSON omits them entirely (the omitempty contract keeping

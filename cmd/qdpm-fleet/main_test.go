@@ -81,6 +81,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-devices", "0"},
 		{"-replicas", "0"},
 		{"-horizon", "-1"},
+		{"-kernel", "heap"}, // the kernel-backing flag no longer exists
 	} {
 		var out bytes.Buffer
 		if err := run(context.Background(), &out, args); err == nil {

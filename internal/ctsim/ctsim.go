@@ -444,10 +444,8 @@ func New(cfg Config) (*Sim, error) {
 
 // NewWithKernel is New on a caller-supplied kernel, which the simulator
 // then owns exclusively — Reset and ResetValidated reset it like New's
-// private one. Use it to pick a kernel backing (eventq.NewCalendar for
-// the calendar queue); the two backings fire in the identical (time,
-// seq) order, so output is bit-identical either way. The kernel must be
-// empty with its clock at 0 (freshly built or Reset).
+// private one. The kernel must be empty with its clock at 0 (freshly
+// built or Reset).
 func NewWithKernel(k *eventq.Kernel, cfg Config) (*Sim, error) {
 	return newSim(k, false, cfg)
 }

@@ -83,31 +83,28 @@ func (r *refKernel) fire() (float64, int) {
 	return 0, -1
 }
 
-// kernelConstructors enumerates every Kernel backing. Equivalence and
-// property tests run against each; all backings must produce the same
-// (time, seq) fire order bit for bit.
+// kernelConstructors enumerates the Kernel constructors the equivalence
+// and property tests run against, by subtest name.
 var kernelConstructors = []struct {
 	name string
 	newK func() *Kernel
 }{
 	{"heap", New},
-	{"calendar", NewCalendar},
 }
 
-// TestArenaMatchesReferenceHeap drives each production kernel backing and
-// the reference kernel through the same random interleaving of schedules,
+// TestArenaMatchesReferenceHeap drives the production kernel and the
+// reference kernel through the same random interleaving of schedules,
 // cancels, and fires, and requires identical fire sequences (time and
 // event identity). This is the load-bearing equivalence test: it pins the
 // (time, seq) total order — and therefore every downstream trajectory —
-// to the pre-arena kernel's, for the heap and calendar backings alike.
+// to the pre-arena kernel's.
 //
 // Handlers work while they fire, as simulator handlers do: each runs a
 // random program of 0 to 4 operations — schedules (so a handler
 // schedules none, one, or several successors), cancels of live events,
 // and Len/Pending/TimeOf queries — applied to both kernels and checked
 // against the reference, including that the firing event's own Ref is
-// already stale. On the heap backing this is what exercises
-// fire-in-place: the spent root, its overwrite by the first Schedule,
+// already stale. This is what exercises fire-in-place: the spent root, its overwrite by the first Schedule,
 // and its pop when the handler schedules nothing.
 func TestArenaMatchesReferenceHeap(t *testing.T) {
 	for _, kc := range kernelConstructors {
@@ -303,8 +300,7 @@ func TestFreeListReuse(t *testing.T) {
 
 // TestTieBreakDeterminism: same-time events fire in schedule order, even
 // when interleaved with cancels that shuffle heap positions, and
-// independently of how many unrelated events came before. Runs on every
-// backing — in the calendar, all ties share one bucket chain.
+// independently of how many unrelated events came before.
 func TestTieBreakDeterminism(t *testing.T) {
 	for _, kc := range kernelConstructors {
 		kc := kc
@@ -364,8 +360,7 @@ func testTieBreak(t *testing.T, newK func() *Kernel) {
 
 // TestStaleRefSafety: a Ref to a fired or canceled event must stay dead
 // even after its arena slot is reused — Cancel through it must not touch
-// the slot's new occupant. Both backings share the arena generation
-// discipline, so both are exercised.
+// the slot's new occupant.
 func TestStaleRefSafety(t *testing.T) {
 	for _, kc := range kernelConstructors {
 		kc := kc
@@ -571,6 +566,28 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k.Schedule(k.Now()+s.Float64(), fn)
 		k.Step()
+	}
+}
+
+// BenchmarkKernelHold measures schedule+fire with a large standing
+// population (1k and 64k uniform-random events), where every sift
+// pays O(log n) with cold index traversals.
+func BenchmarkKernelHold(b *testing.B) {
+	for _, hold := range []int{1 << 10, 1 << 16} {
+		b.Run("heap/"+strconv.Itoa(hold>>10)+"k", func(b *testing.B) {
+			k := New()
+			s := rng.New(1)
+			fn := func(float64) {}
+			for i := 0; i < hold; i++ {
+				k.Schedule(s.Float64(), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Schedule(k.Now()+s.Float64(), fn)
+				k.Step()
+			}
+		})
 	}
 }
 

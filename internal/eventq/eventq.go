@@ -51,11 +51,11 @@
 // Events fire in strictly nondecreasing (time, seq) order, where seq is
 // a per-kernel schedule-order counter: of two events scheduled for the
 // same instant, the one scheduled first fires first, regardless of heap
-// or calendar internals. Every simulator above this package (ctsim, the
-// fleet's shared-clock coupled groups, the shared-resource arbiters)
-// leans on that FIFO tie-break for its bit-identical determinism
-// contract, and both backings (New and NewCalendar) honor it
-// identically (TestArenaMatchesReferenceHeap pins the equivalence).
+// internals. Every simulator above this package (ctsim, the fleet's
+// shared-clock coupled groups, the shared-resource arbiters) leans on
+// that FIFO tie-break for its bit-identical determinism contract
+// (TestArenaMatchesReferenceHeap pins it against a container/heap
+// reference).
 //
 // # Reuse contract
 //
@@ -98,9 +98,9 @@ type event struct {
 	time    float64
 	seq     uint64 // FIFO tie-breaker for equal times
 	fn      Handler
-	heapIdx int32  // heap position (calendar: bucket index), -1 when free
+	heapIdx int32  // heap position, -1 when free
 	gen     uint32 // bumped on release; pairs with Ref.gen
-	next    int32  // free-list / calendar-chain link (slot+1 form)
+	next    int32  // free-list link (slot+1 form)
 }
 
 // heapNode is one heap entry: the (time, seq) ordering key copied
@@ -160,10 +160,6 @@ func minChild4(h []heapNode, c int) int {
 // Kernel is a discrete-event simulation executive. It is not safe for
 // concurrent use; simulations that need parallelism run one Kernel per
 // goroutine with split rng streams.
-//
-// Two interchangeable backings share this type: the 4-ary indexed heap
-// (New) and the calendar queue (NewCalendar — see calendar.go). Both
-// produce the identical (time, seq) fire order bit for bit.
 type Kernel struct {
 	now     float64
 	arena   []event
@@ -180,15 +176,6 @@ type Kernel struct {
 	// overwrites it in place; Step pops it if the handler scheduled
 	// nothing.
 	spent bool
-
-	// Calendar backing (cal == true); see calendar.go.
-	cal        bool
-	buckets    []int32 // chain heads (slot+1 form), sorted by (time, seq)
-	nCal       int     // queued event count
-	width      float64 // bucket width in time units
-	cursorVB   float64 // dequeue cursor: virtual bucket, floor(time/width)
-	calMin     int32   // cached earliest arena index, -1 = unknown
-	calScratch []int32 // resize rebuild scratch
 }
 
 // New returns a kernel with the clock at 0.
@@ -200,17 +187,13 @@ func New() *Kernel { return &Kernel{} }
 // back to back resets one kernel instead of reallocating per replica; the
 // behavior after Reset is bit-identical to a new kernel's.
 func (k *Kernel) Reset() {
-	if k.cal {
-		k.calReset()
-	} else {
-		if k.spent {
-			k.dropSpent() // its slot is already released
-		}
-		for _, nd := range k.heap {
-			k.release(nd.idx)
-		}
-		k.heap = k.heap[:0]
+	if k.spent {
+		k.dropSpent() // its slot is already released
 	}
+	for _, nd := range k.heap {
+		k.release(nd.idx)
+	}
+	k.heap = k.heap[:0]
 	k.now = 0
 	k.seq = 0
 	k.fired = 0
@@ -224,12 +207,9 @@ func (k *Kernel) Now() float64 { return k.now }
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // Len returns the number of queued events. It is O(1) and exact: Cancel
-// removes events from the backing immediately, so there are no lazily
+// removes events from the heap immediately, so there are no lazily
 // deleted entries to discount.
 func (k *Kernel) Len() int {
-	if k.cal {
-		return k.nCal
-	}
 	if k.spent {
 		return len(k.heap) - 1
 	}
@@ -309,9 +289,7 @@ func (k *Kernel) Schedule(t float64, fn Handler) (Ref, error) {
 	e.seq = k.seq
 	e.fn = fn
 	k.seq++
-	if k.cal {
-		k.calInsert(idx)
-	} else if k.spent {
+	if k.spent {
 		k.spent = false
 		k.heap[0] = heapNode{key: timeKey(e.time), seq: e.seq, idx: idx}
 		k.siftDown(0)
@@ -339,11 +317,7 @@ func (k *Kernel) Cancel(r Ref) {
 	if idx < 0 {
 		return
 	}
-	if k.cal {
-		k.calUnlink(idx)
-	} else {
-		k.removeAt(int(k.arena[idx].heapIdx))
-	}
+	k.removeAt(int(k.arena[idx].heapIdx))
 	k.release(idx)
 }
 
@@ -354,7 +328,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step fires the earliest pending event. It returns false when the queue
 // is empty.
 //
-// On the heap backing the event fires in place: its arena slot is
+// The event fires in place: its arena slot is
 // released before the handler runs — every Ref to it is stale from then
 // on, and a rescheduling handler (the steady-state pattern) reuses that
 // very slot — but its node stays at the heap root until the handler's
@@ -364,22 +338,14 @@ func (k *Kernel) Stop() { k.stopped = true }
 // so it fires the next queued event exactly as it would have without
 // fire-in-place and never fires the running event again.
 func (k *Kernel) Step() bool {
-	var idx int32
-	if k.cal {
-		if idx = k.calPeek(); idx < 0 {
-			return false
-		}
-		k.calPop(idx)
-	} else {
-		if k.spent {
-			k.dropSpent()
-		}
-		if len(k.heap) == 0 {
-			return false
-		}
-		idx = k.heap[0].idx
-		k.spent = true
+	if k.spent {
+		k.dropSpent()
 	}
+	if len(k.heap) == 0 {
+		return false
+	}
+	idx := k.heap[0].idx
+	k.spent = true
 	e := &k.arena[idx]
 	t, fn := e.time, e.fn
 	// Release before invoking the handler so a rescheduling handler reuses
@@ -412,35 +378,14 @@ func (k *Kernel) Run(horizon float64) error {
 		return fmt.Errorf("eventq: horizon %v precedes current time %v", horizon, k.now)
 	}
 	k.stopped = false
-	if k.cal {
-		for !k.stopped {
-			idx := k.calPeek()
-			if idx < 0 || k.arena[idx].time > horizon {
-				break
-			}
-			k.Step()
-		}
-	} else {
-		hkey := timeKey(horizon)
-		for !k.stopped && len(k.heap) > 0 && k.heap[0].key <= hkey {
-			k.Step()
-		}
+	hkey := timeKey(horizon)
+	for !k.stopped && len(k.heap) > 0 && k.heap[0].key <= hkey {
+		k.Step()
 	}
 	if !k.stopped && k.now < horizon {
 		k.now = horizon
 	}
 	return nil
-}
-
-// less orders arena slots by (time, seq): earlier first, FIFO on ties.
-// The calendar backing's sorted chains use it; the heap compares its
-// inline node keys instead (nodeLess).
-func (k *Kernel) less(a, b int32) bool {
-	ea, eb := &k.arena[a], &k.arena[b]
-	if ea.time != eb.time {
-		return ea.time < eb.time
-	}
-	return ea.seq < eb.seq
 }
 
 // siftUp restores the heap property from position i toward the root.

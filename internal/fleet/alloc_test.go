@@ -4,8 +4,26 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/ctsim"
+	"repro/internal/eventq"
 )
+
+// runInstance runs instance i as a group of one on the worker's
+// scratch — the shard loop's per-instance step — and folds its row
+// into sum.
+func runInstance(ctx context.Context, r *runner, i int, ws *workerScratch, sum *Summary) error {
+	var row [1]instanceResult
+	var err error
+	if r.spec.Mode == ModeCT {
+		err = r.runGroup(ctx, i, i+1, ws, row[:])
+	} else {
+		err = r.runSlot(ctx, i, ws, &row[0])
+	}
+	if err != nil {
+		return err
+	}
+	sum.addInstance(r.classOf(i), row[0])
+	return nil
+}
 
 // warmScratch returns a worker scratch that has already run every class
 // of r's mix once in the given mode, so pooled policies, sources,
@@ -16,13 +34,7 @@ func warmScratch(t testing.TB, r *runner, sum *Summary) *workerScratch {
 	ws := &workerScratch{}
 	ctx := context.Background()
 	for i := 0; i < len(r.pattern); i++ {
-		var err error
-		if r.spec.Mode == ModeCT {
-			err = r.runInstanceCT(ctx, i, ws, sum)
-		} else {
-			err = r.runInstanceSlot(ctx, i, ws, sum)
-		}
-		if err != nil {
+		if err := runInstance(ctx, r, i, ws, sum); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,13 +61,7 @@ func TestFleetInstanceSetupAllocationFree(t *testing.T) {
 			ctx := context.Background()
 			i := 0
 			allocs := testing.AllocsPerRun(16, func() {
-				var err error
-				if mode == ModeCT {
-					err = r.runInstanceCT(ctx, i%spec.Devices, ws, sum)
-				} else {
-					err = r.runInstanceSlot(ctx, i%spec.Devices, ws, sum)
-				}
-				if err != nil {
+				if err := runInstance(ctx, r, i%spec.Devices, ws, sum); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -71,9 +77,11 @@ func TestFleetInstanceSetupAllocationFree(t *testing.T) {
 // the CT hot path: for every class of the default mix — fixed timeout,
 // greedy-off, and the adapted Q-DPM learner included — the steady-state
 // event loop of a fleet instance performs zero heap allocations. The
-// simulator is prepared exactly the way runInstanceCT prepares it (same
-// pooled objects, same stream layout). Part of the CI
-// allocation-regression step (AllocationFree name match).
+// instance runs on a lane started exactly as the group driver starts
+// it — the lane's cached, prevalidated class config, streams, and a
+// shared-kernel simulator — and its row is filled the driver's way.
+// Part of the CI allocation-regression step (AllocationFree name
+// match).
 func TestFleetCTEventLoopAllocationFree(t *testing.T) {
 	spec := Spec{Devices: 8, Classes: DefaultMix(), Mode: ModeCT, Horizon: 1e9, Seed: 3}
 	r, err := newRunner(spec)
@@ -91,37 +99,24 @@ func TestFleetCTEventLoopAllocationFree(t *testing.T) {
 			}
 		}
 		t.Run(r.classes[ci].name, func(t *testing.T) {
-			ws := &workerScratch{}
-			cc := &r.classes[ci]
-			cs, err := r.prepareInstance(inst, ws)
-			if err != nil {
+			k := eventq.New()
+			var ln lane
+			if _, err := ln.start(r, inst, k, nil); err != nil {
 				t.Fatal(err)
 			}
-			cs.src.Reset()
-			sim, err := ctsim.New(ctsim.Config{
-				Device:         cc.src.Device,
-				QueueCap:       r.spec.QueueCap,
-				LatencyWeight:  r.spec.LatencyWeight / r.spec.Period,
-				Policy:         cs.adapted,
-				Source:         cs.src,
-				Stream:         &ws.simStream,
-				DecisionPeriod: r.spec.Period,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			maxPower := r.classes[ci].maxPower
 			until := 2048.0
-			if err := sim.Run(until); err != nil { // warm: ring growth, learner tables
+			if err := k.Run(until); err != nil { // warm: ring growth, learner tables
 				t.Fatal(err)
 			}
-			var scratch ctsim.Metrics
-			sim.MetricsInto(&scratch)
+			var row instanceResult
+			row.fillRow(ln.ct.MetricsView(), maxPower, k.Fired())
 			allocs := testing.AllocsPerRun(20, func() {
 				until += 256
-				if err := sim.Run(until); err != nil {
+				if err := k.Run(until); err != nil {
 					t.Fatal(err)
 				}
-				sim.MetricsInto(&scratch)
+				row.fillRow(ln.ct.MetricsView(), maxPower, k.Fired())
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state fleet CT loop allocates %.1f times per 256 s chunk", allocs)
@@ -219,7 +214,7 @@ func TestFleetFaultedShardAllocationFree(t *testing.T) {
 }
 
 // BenchmarkFleetInstanceCT measures one full fleet CT instance through
-// the worker reuse path (reseed, reset, run, MetricsInto), reporting
+// the worker reuse path (reseed, reset, run, fill the row), reporting
 // ns/event. One op = one instance at a 512 s horizon.
 func BenchmarkFleetInstanceCT(b *testing.B) {
 	spec := Spec{Devices: 64, Classes: DefaultMix(), Mode: ModeCT, Horizon: 512, Seed: 5}
@@ -232,7 +227,7 @@ func BenchmarkFleetInstanceCT(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := r.runInstanceCT(ctx, i%spec.Devices, &ws, sum); err != nil {
+		if err := runInstance(ctx, r, i%spec.Devices, &ws, sum); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -146,30 +146,45 @@ func TestFleetCoupledInterferenceGrowsWithCoupleSize(t *testing.T) {
 	}
 }
 
-// TestFleetKernelKindsBitIdentical pins the kernel-interchangeability
-// contract at fleet level: heap- and calendar-backed runs produce the
-// identical summary, uncoupled and coupled.
-func TestFleetKernelKindsBitIdentical(t *testing.T) {
-	specs := map[string]Spec{
-		"uncoupled": {Devices: 37, Classes: DefaultMix(), Mode: ModeCT, Horizon: 60, ShardSize: 5, Seed: 42},
-		"coupled":   coupledSpec(CoupleChannel),
-	}
-	for name, spec := range specs {
-		t.Run(name, func(t *testing.T) {
-			heap, cal := spec, spec
-			heap.Kernel, cal.Kernel = KernelHeap, KernelCalendar
-			sh, err := Run(context.Background(), heap, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sc, err := Run(context.Background(), cal, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(sh, sc) {
-				t.Fatalf("summary differs across kernel kinds:\n%+v\nvs\n%+v", sh, sc)
-			}
-		})
+// TestFleetCoupleSizeOneMatchesUncoupled pins the claim that an
+// uncoupled instance is a coupled group of one: for every shared
+// resource (the power budget made non-binding with BudgetFrac 1), a
+// CoupleSize 1 run produces the uncoupled run's summary field for
+// field — event and request counts, energy, every pooled accumulator,
+// the per-class blocks and the wait sketch — clean and with crash/retry
+// faults. Only the coupling echo differs.
+func TestFleetCoupleSizeOneMatchesUncoupled(t *testing.T) {
+	for _, faulted := range []bool{false, true} {
+		base := Spec{Devices: 150, Classes: DefaultMix(), Mode: ModeCT, Horizon: 60, Seed: 17}
+		name := "clean"
+		if faulted {
+			base.Faults = &FaultSpec{CrashMTBF: 20, RepairMean: 3, FailProb: 0.1}
+			name = "faulted"
+		}
+		want, err := Run(context.Background(), base, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faulted && (want.Crashes == 0 || want.Retries == 0) {
+			t.Fatalf("faulted run injected nothing: crashes=%d retries=%d", want.Crashes, want.Retries)
+		}
+		for _, couple := range []CoupleMode{CoupleChannel, CoupleGateway, CouplePower} {
+			t.Run(name+"/"+string(couple), func(t *testing.T) {
+				spec := base
+				spec.Couple, spec.CoupleSize, spec.BudgetFrac = couple, 1, 1
+				got, err := Run(context.Background(), spec, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Couple != couple || got.CoupleSize != 1 {
+					t.Fatalf("coupling echo = %q/%d, want %q/1", got.Couple, got.CoupleSize, couple)
+				}
+				got.Couple, got.CoupleSize = CoupleNone, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("couple-size 1 differs from uncoupled:\n%+v\nvs\n%+v", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -304,16 +319,16 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	sum := newSummary(r, 0)
 	ws := &workerScratch{}
 	ctx := context.Background()
-	if err := r.runInstanceCT(ctx, 0, ws, sum); err != nil {
+	if err := runInstance(ctx, r, 0, ws, sum); err != nil {
 		t.Fatal(err)
 	}
-	view := ws.sim.MetricsView()
+	view := ws.lanes[0].ct.MetricsView()
 	firstEnergy, firstArrived := view.EnergyJ, view.Arrived
 	foldedEnergy := sum.EnergyJ
 	if foldedEnergy != firstEnergy {
 		t.Fatalf("fold saw %v J, live view has %v J", foldedEnergy, firstEnergy)
 	}
-	if err := r.runInstanceCT(ctx, 1, ws, sum); err != nil {
+	if err := runInstance(ctx, r, 1, ws, sum); err != nil {
 		t.Fatal(err)
 	}
 	// Half 1: the retained view now shows instance 1, not instance 0.
@@ -328,8 +343,7 @@ func TestMetricsViewClobberedByNextPooledInstance(t *testing.T) {
 	}
 }
 
-// TestSpecValidateCoupling covers the coupling and kernel validation
-// surface: defaults, the shard-multiple rule, and the rejects.
+// TestSpecValidateCoupling covers the coupling validation surface: defaults, the shard-multiple rule, and the rejects.
 func TestSpecValidateCoupling(t *testing.T) {
 	base := func() Spec {
 		return Spec{Devices: 10, Classes: DefaultMix(), Mode: ModeCT, Horizon: 10}
@@ -357,8 +371,6 @@ func TestSpecValidateCoupling(t *testing.T) {
 		func(sp *Spec) { sp.Couple = CoupleChannel; sp.CoupleSize = 5; sp.ShardSize = 12 },
 		func(sp *Spec) { sp.CoupleSize = 4 },
 		func(sp *Spec) { sp.Couple = CouplePower; sp.BudgetFrac = -1 },
-		func(sp *Spec) { sp.Kernel = "splay" },
-		func(sp *Spec) { sp.Kernel = KernelCalendar; sp.Mode = ModeSlot },
 	}
 	for i, mutate := range bad {
 		sp := base()

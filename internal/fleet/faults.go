@@ -11,7 +11,7 @@ import (
 // (Spec.Faults; nil disables the layer — a fault-free run's output is
 // byte-identical to a build without the fault code). Crash and retry
 // faults apply per instance from a dedicated per-instance fault rng
-// lane; outage windows apply to each coupled group's shared resource.
+// stream; outage windows apply to each coupled group's shared resource.
 // CT mode only.
 type FaultSpec struct {
 	// CrashMTBF is each instance's mean operating time between crashes

@@ -24,37 +24,41 @@
 //     are reduced in shard-index order. A pooled run is therefore
 //     bit-identical to a serial run for every -parallel value (CI diffs
 //     qdpm-fleet output across pool sizes).
-//   - Workers reuse everything: one simulator (ctsim.Sim or
-//     slotsim.Sim), one metrics scratch, and per class one pooled
-//     policy, adapter, and arrival source, plus three in-place-reseeded
-//     rng streams. Every reused object carries a Reset that restores
-//     freshly-constructed state bit for bit, so per-worker state never
-//     influences results — it only keeps instance turnover off the
-//     allocator entirely: after warm-up a complete instance lifecycle
-//     performs zero heap allocations in both kernels
-//     (TestFleetInstanceSetupAllocationFree), and the CT event loop
-//     itself is allocation-free in steady state
+//   - Workers reuse everything: one event kernel and a pool of lanes,
+//     each lane holding its simulators (ctsim.Sim, slotsim.Sim), per
+//     class one pooled policy, adapter, arrival source, and validated
+//     config, and in-place-reseeded rng streams (lane.go). Every reused
+//     object carries a Reset that restores freshly-constructed state
+//     bit for bit, so per-worker state never influences results — it
+//     only keeps instance turnover off the allocator entirely: after
+//     warm-up a complete instance lifecycle performs zero heap
+//     allocations in both kernels (TestFleetInstanceSetupAllocationFree),
+//     and the CT event loop itself is allocation-free in steady state
 //     (TestFleetCTEventLoopAllocationFree).
 //   - Shard summaries stream through an index-ordered fold
 //     (engine.MapReduceWorkers) and wait percentiles default to a
 //     mergeable log-binned sketch (Spec.Quantiles), so fleet memory is
 //     O(workers + classes), independent of the device count.
 //
-// Coupling. By default instances are independent — each advances on its
-// own event kernel. Spec.Couple switches a shard into coupled groups:
-// CoupleSize consecutive instances advance on ONE shared kernel
-// (eventq's (time, seq) FIFO ordering arbitrates their interleaving
-// deterministically) and contend for one internal/shared resource — a
-// single-occupancy channel, a bounded gateway queue, or a group power
-// budget. Groups never straddle shards, so coupling changes the
-// simulated physics without touching the sharding, merge, or
-// bit-identical -parallel contracts (DESIGN.md §8).
+// Groups. Every CT instance runs inside a group driven by one routine
+// (runGroup): the kernel is reset, the group's lanes are reset in
+// ascending instance order, outage windows are armed, the kernel runs
+// to the horizon in cancellation chunks, and each lane fills its result
+// row. By default instances are independent — each is a group of one
+// with no shared resource. Spec.Couple makes groups of CoupleSize
+// consecutive instances that advance on ONE kernel (eventq's (time,
+// seq) FIFO ordering arbitrates their interleaving deterministically)
+// and contend for one internal/shared resource — a single-occupancy
+// channel, a bounded gateway queue, or a group power budget. Groups
+// never straddle shards, so coupling changes the simulated physics
+// without touching the sharding, merge, or bit-identical -parallel
+// contracts (DESIGN.md §8).
 //
 // Faults. Spec.Faults threads ctsim's deterministic fault layer —
 // Exp(MTBF) crash/repair cycles, transient service failures with
 // retry/backoff, and scheduled resource outages on coupled runs —
 // through every instance, drawing all fault randomness from a third
-// per-instance stream lane so a fault-free spec's output stays
+// per-instance stream so a fault-free spec's output stays
 // byte-identical to the pre-fault layer (DESIGN.md §9).
 package fleet
 
@@ -66,13 +70,9 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/ctsim"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/engine"
-	"repro/internal/rng"
-	"repro/internal/slotsim"
-	"repro/internal/workload"
 )
 
 // Mode selects the simulation kernel a fleet runs on.
@@ -111,26 +111,6 @@ const (
 // reported wait percentile is within 1% of the corresponding exact
 // order statistic (see stats.QuantileSketch for the precise statement).
 const WaitSketchAccuracy = 0.01
-
-// KernelKind selects the event-queue backing of the CT kernel. Both
-// backings fire events in the identical (time, seq) order, so fleet
-// output is bit-identical across kinds (TestFleetKernelKindsBitIdentical)
-// — the choice is purely a performance knob.
-type KernelKind string
-
-const (
-	// KernelAuto (the default) picks the backing per kernel population:
-	// the 4-ary heap for the uncoupled one-sim-per-kernel loop and for
-	// every measured coupled group size (see kernelFor for the measured
-	// decision table). Output is unaffected — the kinds are
-	// bit-identical — so auto is always safe.
-	KernelAuto KernelKind = "auto"
-	// KernelHeap backs the kernel with the 4-ary index-tracked min-heap.
-	KernelHeap KernelKind = "heap"
-	// KernelCalendar backs the kernel with the O(1) calendar queue
-	// (eventq.NewCalendar).
-	KernelCalendar KernelKind = "calendar"
-)
 
 // CoupleMode selects the shared resource the instances of a coupled
 // group contend for (CT mode only — slot mode has no service-start
@@ -237,10 +217,6 @@ type Spec struct {
 	ShardSize int
 	// Quantiles selects sketch (default) or exact wait percentiles.
 	Quantiles QuantileMode
-	// Kernel selects the CT event-queue backing: KernelAuto (default,
-	// resolves per kernel population), KernelHeap, or KernelCalendar.
-	// Output is bit-identical across kinds.
-	Kernel KernelKind
 	// Couple selects the coupled mode's shared resource (default
 	// CoupleNone: independent instances). Requires ModeCT.
 	Couple CoupleMode
@@ -309,15 +285,6 @@ func (sp *Spec) Validate() error {
 	}
 	if sp.LatencyWeight < 0 || math.IsNaN(sp.LatencyWeight) {
 		return fmt.Errorf("fleet: latency weight %v must be >= 0", sp.LatencyWeight)
-	}
-	if sp.Kernel == "" {
-		sp.Kernel = KernelAuto
-	}
-	if sp.Kernel != KernelAuto && sp.Kernel != KernelHeap && sp.Kernel != KernelCalendar {
-		return fmt.Errorf("fleet: unknown kernel %q (want %q, %q, or %q)", sp.Kernel, KernelAuto, KernelHeap, KernelCalendar)
-	}
-	if sp.Kernel == KernelCalendar && sp.Mode == ModeSlot {
-		return fmt.Errorf("fleet: kernel %q applies to CT mode only (slot mode has no event kernel)", sp.Kernel)
 	}
 	switch sp.Couple {
 	case CoupleNone, CoupleChannel, CoupleGateway, CouplePower:
@@ -392,10 +359,11 @@ func (sp *Spec) Shards() int {
 // ---------------------------------------------------------------------------
 // Runner
 
-// class is a Class compiled for execution: slotted device form, class
-// label, the always-on reference power, and the interarrival law
-// compiled once in the running kernel's units (seconds for CT, slots
-// for slot mode) so instances never re-box a dist.Continuous.
+// compiledClass is a Class compiled for execution: slotted device
+// form, class label, the always-on reference power, the parsed policy,
+// and the interarrival law compiled once in the running kernel's units
+// (seconds for CT, slots for slot mode) so instances never re-box a
+// dist.Continuous.
 type compiledClass struct {
 	src      Class
 	name     string
@@ -418,7 +386,7 @@ type runner struct {
 	// classOffsets[ci] lists the pattern positions owned by class ci, so
 	// a shard can enumerate one class's instances directly (first
 	// matching index, then strides of len(pattern)) — the class-major
-	// execution order of runShard.
+	// execution order runShard uses for groups of one.
 	classOffsets [][]int
 	// sumFree recycles shard summaries between runShard (producer) and
 	// the serialized reducer in Run (consumer, which returns each part
@@ -458,143 +426,6 @@ func (r *runner) putSummary(s *Summary) {
 	r.sumMu.Lock()
 	r.sumFree = append(r.sumFree, s)
 	r.sumMu.Unlock()
-}
-
-// workerScratch is one worker's reusable simulation state: the
-// simulators and metrics scratch plus one pooled (policy, adapter,
-// source) set per class and three in-place-reseeded rng streams. Every
-// piece survives across all the shards the worker runs — the instance
-// lifecycle is Reseed + Reset + Run with zero heap traffic
-// (TestFleetInstanceSetupAllocationFree) — without influencing results:
-// a reset object is bit-identical to a freshly built one.
-type workerScratch struct {
-	sim     *ctsim.Sim
-	slot    *slotsim.Sim
-	metrics ctsim.Metrics
-	classes []classScratch
-
-	// results is the shard's struct-of-arrays result store: one flat
-	// instanceResult row per instance, written in class-major execution
-	// order and folded into the summary in instance order (the fold
-	// order is the bit-exactness contract; execution order is free
-	// because every instance's randomness derives from its own seed).
-	// Reused across all the shards the worker runs.
-	results []instanceResult
-
-	// Per-instance stream derivation, in place: root is reseeded from
-	// the instance seed and split into the policy and simulator streams,
-	// reproducing rng.New(seed).Split()/.Split() bit for bit. Faulted
-	// runs split a third, fault-dedicated stream after those two, so
-	// enabling faults never perturbs the policy or arrival sequences.
-	root        rng.Stream
-	polStream   rng.Stream
-	simStream   rng.Stream
-	faultStream rng.Stream
-
-	// coupled holds the shared-kernel group state (the group kernel,
-	// one lane per group slot, and the shared resource); untouched on
-	// uncoupled runs. See coupled.go.
-	coupled coupledScratch
-}
-
-// classScratch is one worker's pooled object set for one class.
-type classScratch struct {
-	pol      slotsim.Policy
-	resetPol func(*rng.Stream)
-	adapted  ctsim.Policy         // CT mode: pol behind the slot adapter
-	src      *ctsim.RenewalSource // CT mode arrival source
-	arr      *workload.Renewal    // slot mode arrival process
-	// faults is the cached per-(owner, class) ctsim fault config; cfg
-	// points at it when the spec enables crash/retry faults. Its Stream
-	// aliases the owner's fault stream, reseeded per instance.
-	faults ctsim.Faults
-	// cfg is the instance configuration for this (worker, class) pair —
-	// every field is constant across instances (the per-instance state
-	// lives in the stream, source, and policy, all reset in place) — so
-	// it is validated once here and every Reset takes the
-	// ctsim.ResetValidated fast path.
-	cfg ctsim.Config
-}
-
-// build fills one classScratch for class ci with policy, simulator,
-// and fault streams owned by the caller (a worker's scratch, or one
-// lane of a coupled group) and an optional shared resource wired into
-// the cached config. It performs the only allocations ever made per
-// (owner, class); every instance after that reuses the set via resets.
-func (cs *classScratch) build(r *runner, ci int, polStream, simStream, faultStream *rng.Stream, res ctsim.Resource) error {
-	cc := &r.classes[ci]
-	pol, err := buildSlotPolicy(cc, r.spec.QueueCap, r.spec.LatencyWeight, polStream)
-	if err != nil {
-		return err
-	}
-	reset, err := policyReset(pol)
-	if err != nil {
-		return err
-	}
-	cs.pol, cs.resetPol = pol, reset
-	if r.spec.Mode == ModeCT {
-		cs.adapted = ctsim.Adapt(pol, r.spec.Period)
-		if cs.src, err = ctsim.NewRenewalSource(cc.arrDist); err != nil {
-			return err
-		}
-		// Instances never run past the spec horizon, so the source can
-		// size its pre-draw blocks against it instead of buying a full
-		// ramp block for the one speculative past-horizon draw. Purely a
-		// sizing hint: arrival sequences (and so all output) are
-		// unchanged.
-		cs.src.SetLimit(r.spec.Horizon)
-		cs.cfg = ctsim.Config{
-			Device:         cc.src.Device,
-			QueueCap:       r.spec.QueueCap,
-			LatencyWeight:  r.spec.LatencyWeight / r.spec.Period,
-			Policy:         cs.adapted,
-			Source:         cs.src,
-			Stream:         simStream,
-			DecisionPeriod: r.spec.Period,
-			Resource:       res,
-		}
-		if f := r.spec.Faults; f.crashOrRetry() {
-			cs.faults = ctsim.Faults{
-				CrashMTBF:  f.CrashMTBF,
-				RepairMean: f.RepairMean,
-				FailProb:   f.FailProb,
-				RetryMax:   f.RetryMax,
-				Backoff:    f.Backoff,
-				Stream:     faultStream,
-			}
-			cs.cfg.Faults = &cs.faults
-		}
-		if err := cs.cfg.Validate(); err != nil {
-			return err
-		}
-	} else {
-		if cs.arr, err = workload.NewRenewal(cc.arrDist); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// classState returns the worker's pooled objects for class ci, building
-// them on first use (the only allocations a worker ever performs per
-// class; every instance after that reuses them via resets).
-func (ws *workerScratch) classState(r *runner, ci int) (*classScratch, error) {
-	if ws.classes == nil {
-		ws.classes = make([]classScratch, len(r.classes))
-	}
-	cs := &ws.classes[ci]
-	if cs.pol != nil {
-		return cs, nil
-	}
-	if err := cs.build(r, ci, &ws.polStream, &ws.simStream, &ws.faultStream, nil); err != nil {
-		// Discard the half-built set: the memo check keys on cs.pol, so a
-		// partially-filled scratch would be handed out as complete to the
-		// worker's next shard of this class and panic instead of failing
-		// with the real error.
-		*cs = classScratch{}
-		return nil, err
-	}
-	return cs, nil
 }
 
 func newRunner(spec Spec) (*runner, error) {
@@ -646,192 +477,32 @@ func newRunner(spec Spec) (*runner, error) {
 // round-robin interleave, a pure function of the spec.
 func (r *runner) classOf(i int) int { return r.pattern[i%len(r.pattern)] }
 
-// cancelChunkTicks bounds cancellation latency: instances run in chunks
-// of this many governor ticks (CT mode, × Period seconds each) or slots
-// (slot mode) and poll the context between chunks.
-const cancelChunkTicks = 8192
+// cancelChunkTicks bounds cancellation latency: groups run in chunks of
+// this many governor ticks (CT mode, × Period seconds each) or slots
+// (slot mode) and poll the context between chunks; pollEvery is the
+// shard loop's instance budget between context polls.
+const (
+	cancelChunkTicks = 8192
+	pollEvery        = 16
+)
 
-// prepareInstance points the worker's pooled objects at instance i:
-// class objects built (first use only), streams reseeded from the
-// instance seed, policy and source reset. After it returns, running the
-// instance is bit-identical to building everything fresh — with zero
-// heap allocations (TestFleetInstanceSetupAllocationFree).
-func (r *runner) prepareInstance(i int, ws *workerScratch) (*classScratch, error) {
-	cs, err := ws.classState(r, r.classOf(i))
-	if err != nil {
-		return nil, err
-	}
-	r.seedInstance(i, ws)
-	cs.resetPol(&ws.polStream)
-	return cs, nil
-}
-
-// seedInstance derives instance i's policy and simulation streams from
-// its per-instance seed — the stream-derivation half of prepareInstance,
-// for callers that already hold the class scratch.
-func (r *runner) seedInstance(i int, ws *workerScratch) {
-	ws.root.Reseed(engine.SeedFor(r.spec.Seed, uint64(i)))
-	ws.root.SplitInto(&ws.polStream)
-	ws.root.SplitInto(&ws.simStream)
-	if r.spec.Faults.crashOrRetry() {
-		ws.root.SplitInto(&ws.faultStream)
-	}
-}
-
-// runInstanceCT executes instance i on the worker's reusable simulator
-// and folds its metrics into sum (the test-facing wrapper of
-// instanceCT).
-func (r *runner) runInstanceCT(ctx context.Context, i int, ws *workerScratch, sum *Summary) error {
-	ci := r.classOf(i)
-	cs, err := ws.classState(r, ci)
-	if err != nil {
-		return err
-	}
-	var res instanceResult
-	if err := r.instanceCT(ctx, i, &r.classes[ci], cs, ws, &res); err != nil {
-		return err
-	}
-	sum.addInstance(ci, res)
-	return nil
-}
-
-// instanceCT executes instance i on the worker's reusable simulator and
-// writes its result row into *out (every field is assigned, so a reused
-// row slot carries nothing over; on error *out is meaningless). cc and
-// cs must be instance i's class — the shard loop runs class-major and
-// hoists that lookup out of its inner loop. The instance configuration
-// is the class's cached prevalidated Config, so steady-state turnover
-// is reseed + resets + ResetValidated — no validation pass, no Config
-// assembly.
-func (r *runner) instanceCT(ctx context.Context, i int, cc *compiledClass, cs *classScratch, ws *workerScratch, out *instanceResult) error {
-	r.seedInstance(i, ws)
-	cs.resetPol(&ws.polStream)
-	cs.src.Reset()
-	var err error
-	if ws.sim == nil {
-		if ws.sim, err = ctsim.NewWithKernel(r.newKernel(1), cs.cfg); err != nil {
-			return err
-		}
-		// Instances never run past the horizon, so events landing beyond
-		// it can skip the kernel; the hint survives ResetValidated.
-		ws.sim.SetHorizonHint(r.spec.Horizon)
-	} else if err = ws.sim.ResetValidated(cs.cfg); err != nil {
-		return err
-	}
-	if err := ws.sim.RunChunked(ctx, r.spec.Horizon, r.spec.Period*cancelChunkTicks); err != nil {
-		return err
-	}
-	m := ws.sim.MetricsView()
-	avgPower := m.AvgPowerW()
-	out.avgPowerW = avgPower
-	out.energyRed = 1 - avgPower/cc.maxPower
-	out.meanWaitSec = m.MeanWaitSeconds()
-	out.lossRate = m.LossRate()
-	out.energyJ = m.EnergyJ
-	out.arrived = m.Arrived
-	out.served = m.Served
-	out.lost = m.Lost
-	out.downtimeSec = m.DowntimeSec
-	out.energyOutageJ = m.EnergyOutageJ
-	out.crashes = m.Crashes
-	out.retries = m.Retries
-	out.retryExhausted = m.RetryExhausted
-	out.lostToOutage = m.LostToOutage
-	out.events = ws.sim.FiredEvents()
-	return nil
-}
-
-// runInstanceSlot executes instance i on the worker's reusable slotted
-// simulator and folds its metrics into sum (the test-facing wrapper of
-// instanceSlot).
-func (r *runner) runInstanceSlot(ctx context.Context, i int, ws *workerScratch, sum *Summary) error {
-	ci := r.classOf(i)
-	cs, err := ws.classState(r, ci)
-	if err != nil {
-		return err
-	}
-	var res instanceResult
-	if err := r.instanceSlot(ctx, i, &r.classes[ci], cs, ws, &res); err != nil {
-		return err
-	}
-	sum.addInstance(ci, res)
-	return nil
-}
-
-// instanceSlot executes instance i on the worker's reusable slotted
-// simulator and writes its result row into *out. cc and cs must be
-// instance i's class (see instanceCT).
-func (r *runner) instanceSlot(ctx context.Context, i int, cc *compiledClass, cs *classScratch, ws *workerScratch, out *instanceResult) error {
-	r.seedInstance(i, ws)
-	cs.resetPol(&ws.polStream)
-	cs.arr.Reset()
-	var err error
-	cfg := slotsim.Config{
-		Device:        cc.slotted,
-		Arrivals:      cs.arr,
-		QueueCap:      r.spec.QueueCap,
-		Policy:        cs.pol,
-		Stream:        &ws.simStream,
-		LatencyWeight: r.spec.LatencyWeight,
-	}
-	if ws.slot == nil {
-		if ws.slot, err = slotsim.New(cfg); err != nil {
-			return err
-		}
-	} else if err = ws.slot.Reset(cfg); err != nil {
-		return err
-	}
-	sim := ws.slot
-	slots := int64(math.Ceil(r.spec.Horizon/r.spec.Period - 1e-9))
-	var m slotsim.Metrics
-	// Poll the context between chunks, not before the first: an instance
-	// that fits in one chunk costs no context check here (the shard loop
-	// polls per batch of instances).
-	for remaining := slots; remaining > 0; {
-		chunk := int64(cancelChunkTicks)
-		if remaining < chunk {
-			chunk = remaining
-		}
-		if m, err = sim.Run(chunk, nil); err != nil {
-			return err
-		}
-		remaining -= chunk
-		if remaining > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-	}
-	p := m.AvgPowerW(r.spec.Period)
-	out.avgPowerW = p
-	out.energyRed = 1 - p/cc.maxPower
-	out.meanWaitSec = m.MeanWaitSlots() * r.spec.Period
-	out.lossRate = m.LossRate()
-	out.energyJ = m.EnergyJ
-	out.arrived = m.Arrived
-	out.served = m.Served
-	out.lost = m.Lost
-	out.events = uint64(m.Slots)
-	return nil
-}
-
-// runShard executes one contiguous block of instances and returns its
-// streaming summary.
+// runShard executes one contiguous block of instances as a sequence of
+// groups and returns its streaming summary. Groups are aligned to
+// absolute instance index (Validate guarantees ShardSize is a multiple
+// of CoupleSize, so group boundaries are a pure function of the spec);
+// only the fleet's trailing group can be partial.
 //
-// Execution is class-major: all of the shard's instances of class 0,
-// then class 1, and so on — consecutive instances share the compiled
-// interarrival law, the pooled policy's code paths, and the class
-// config, so branch predictors and the per-class working set stay warm
-// instead of being evicted every instance by the round-robin interleave.
-// Results land in the worker's flat struct-of-arrays row store and are
-// folded into the summary afterwards in ascending instance order —
-// bit-identical to instance-major execution, because each instance's
-// randomness is a pure function of its own seed and the fold order is
-// unchanged.
+// Groups of one (uncoupled runs, slot mode, and CoupleSize 1) run
+// class-major: all of the shard's instances of class 0, then class 1,
+// and so on — consecutive instances share the compiled interarrival
+// law, the pooled policy's code paths, and the class config, so branch
+// predictors and the per-class working set stay warm instead of being
+// evicted every instance by the round-robin interleave. Results land in
+// the worker's flat struct-of-arrays row store and are folded into the
+// summary afterwards in ascending instance order — bit-identical to
+// instance-major execution, because each group's randomness is a pure
+// function of its instances' seeds and the fold order is unchanged.
 func (r *runner) runShard(ctx context.Context, shard int, ws *workerScratch) (*Summary, error) {
-	if r.spec.Couple != CoupleNone {
-		return r.runShardCoupled(ctx, shard, ws)
-	}
 	lo := shard * r.spec.ShardSize
 	hi := lo + r.spec.ShardSize
 	if hi > r.spec.Devices {
@@ -842,48 +513,50 @@ func (r *runner) runShard(ctx context.Context, shard int, ws *workerScratch) (*S
 		ws.results = make([]instanceResult, n)
 	}
 	res := ws.results[:n]
-	L := len(r.pattern)
-	// The context is polled here once per pollEvery instances (instances
+	// The context is polled here once per pollEvery instances (groups
 	// shorter than a cancellation chunk never poll it themselves), so a
 	// canceled run stops within a bounded handful of instances without
 	// paying a per-instance context check — Err on a cancelable context
 	// takes a mutex, which is measurable at a million instances.
-	const pollEvery = 16
-	polled := 0
-	for ci := range r.classes {
-		cc := &r.classes[ci]
-		// Built on first need: a class with no instances in [lo, hi) is
-		// never built, so a class whose scratch cannot be constructed
-		// fails exactly the shards that contain it — not every shard the
-		// worker touches.
-		var cs *classScratch
-		for _, off := range r.classOffsets[ci] {
-			// First instance >= lo congruent to off mod L, then stride L.
-			first := lo + (off-lo%L+L)%L
-			if first >= hi {
-				continue
+	due := 0
+	run := func(glo, ghi int) error {
+		if due <= 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			if cs == nil {
-				var err error
-				if cs, err = ws.classState(r, ci); err != nil {
-					return nil, err
-				}
+			due = pollEvery
+		}
+		due -= ghi - glo
+		var err error
+		if r.spec.Mode == ModeSlot {
+			err = r.runSlot(ctx, glo, ws, &res[glo-lo])
+		} else {
+			err = r.runGroup(ctx, glo, ghi, ws, res[glo-lo:ghi-lo])
+		}
+		switch {
+		case err == nil:
+			return nil
+		case r.spec.Couple != CoupleNone:
+			return fmt.Errorf("fleet: coupled group [%d,%d): %w", glo, ghi, err)
+		default:
+			return fmt.Errorf("fleet: instance %d (%s): %w", glo, r.classes[r.classOf(glo)].name, err)
+		}
+	}
+	if k := r.spec.CoupleSize; k > 1 {
+		for glo := lo; glo < hi; glo += k {
+			if err := run(glo, min(glo+k, hi)); err != nil {
+				return nil, err
 			}
-			for i := first; i < hi; i += L {
-				if polled&(pollEvery-1) == 0 {
-					if err := ctx.Err(); err != nil {
+		}
+	} else {
+		L := len(r.pattern)
+		for ci := range r.classes {
+			for _, off := range r.classOffsets[ci] {
+				// First instance >= lo congruent to off mod L, then stride L.
+				for i := lo + (off-lo%L+L)%L; i < hi; i += L {
+					if err := run(i, i+1); err != nil {
 						return nil, err
 					}
-				}
-				polled++
-				var err error
-				if r.spec.Mode == ModeCT {
-					err = r.instanceCT(ctx, i, cc, cs, ws, &res[i-lo])
-				} else {
-					err = r.instanceSlot(ctx, i, cc, cs, ws, &res[i-lo])
-				}
-				if err != nil {
-					return nil, fmt.Errorf("fleet: instance %d (%s): %w", i, cc.name, err)
 				}
 			}
 		}

@@ -292,6 +292,11 @@ func TestRunCancellation(t *testing.T) {
 
 // TestParseMix covers the mix grammar.
 func TestParseMix(t *testing.T) {
+	// Parameter edges that must stay accepted (and build: see
+	// FuzzParseMix for the build oracle).
+	if _, err := fleet.ParseMix("hdd:exp:0.08:timeout=0,hdd:exp:0.08:timeout=8.0,hdd:exp:0.08:adaptive-timeout=1,hdd:exp:0.08:adaptive-timeout=128"); err != nil {
+		t.Fatal(err)
+	}
 	classes, err := fleet.ParseMix("hdd:exp:0.08:timeout=8:2, wlan:hyperexp:2:q-dpm")
 	if err != nil {
 		t.Fatal(err)
@@ -313,6 +318,17 @@ func TestParseMix(t *testing.T) {
 		"hdd:exp:zero:timeout",              // bad rate
 		"hdd:exp:0.1:nosuch",                // unknown policy
 		"hdd:exp:0.1:timeout=-3",            // bad parameter
+		"hdd:exp:0.08:timeout=inf",          // non-finite parameter
+		"hdd:exp:0.08:timeout=NaN",          // non-finite parameter
+		"hdd:exp:0.08:timeout=2.5",          // non-integer parameter
+		"hdd:exp:0.08:timeout=1e19",         // parameter overflows int64
+		"hdd:exp:0.08:timeout=",             // empty parameter
+		"hdd:exp:0.08:adaptive-timeout=0",   // below the adaptive range
+		"hdd:exp:0.08:adaptive-timeout=500", // above the adaptive range
+		"hdd:exp:0.08:q-dpm=3",              // policy takes no parameter
+		"hdd:exp:0.08:always-on=5",          // policy takes no parameter
+		"hdd:exp:0.08:greedy-off=1",         // policy takes no parameter
+		"hdd:exp:0.08:predictive=0",         // policy takes no parameter
 		"hdd:exp:0.1:timeout:0",             // bad weight
 		"hdd:exp:0.1:timeout:1:extra-field", // too many fields
 	} {
@@ -344,6 +360,11 @@ func TestSpecValidate(t *testing.T) {
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, QueueCap: -1},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, ShardSize: -1},
 		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: -1, Policy: "timeout"}}, Horizon: 100},
+		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "timeout=inf"}}, Horizon: 100},
+		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "timeout=2.5"}}, Horizon: 100},
+		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "adaptive-timeout=0"}}, Horizon: 100},
+		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "adaptive-timeout=500"}}, Horizon: 100},
+		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "q-dpm=3"}}, Horizon: 100},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -14,30 +15,47 @@ import (
 )
 
 // Policies lists the policy names a Class may use. "timeout" and
-// "adaptive-timeout" accept a numeric parameter after '=' (slots):
-// timeout=8 parks after 8 idle slots.
+// "adaptive-timeout" accept an integer parameter after '=' (slots):
+// timeout=8 parks after 8 idle slots; adaptive-timeout=16 starts the
+// adaptive timeout at 16 slots, within [1, 128].
 func Policies() []string {
 	return []string{"always-on", "greedy-off", "timeout", "adaptive-timeout", "predictive", "q-dpm"}
 }
 
+// The adaptive timeout's bounds in slots; its initial value (the
+// policy parameter, default 8) must lie within them.
+const (
+	adaptiveMinSlots = 1
+	adaptiveMaxSlots = 128
+)
+
 // parsePolicy splits a policy token into name and optional '=' parameter
-// and validates the name.
+// (-1 when absent) and validates both, so that every accepted token
+// builds: only timeout (an integer >= 0 that fits an int64) and
+// adaptive-timeout (an integer in [adaptiveMinSlots, adaptiveMaxSlots])
+// take a parameter.
 func parsePolicy(tok string) (name string, param float64, err error) {
-	name = tok
-	param = -1
-	if i := strings.IndexByte(tok, '='); i >= 0 {
-		name = tok[:i]
-		param, err = strconv.ParseFloat(tok[i+1:], 64)
-		if err != nil || !(param >= 0) {
-			return "", 0, fmt.Errorf("fleet: bad policy parameter in %q", tok)
-		}
-	}
+	name, arg, hasArg := strings.Cut(tok, "=")
+	lo, hi := 0.0, float64(math.MaxInt64) // hi is 2^63, itself out of range
 	switch name {
-	case "always-on", "greedy-off", "timeout", "adaptive-timeout", "predictive", "q-dpm":
-		return name, param, nil
+	case "timeout":
+	case "adaptive-timeout":
+		lo, hi = adaptiveMinSlots, adaptiveMaxSlots+1
+	case "always-on", "greedy-off", "predictive", "q-dpm":
+		if hasArg {
+			return "", 0, fmt.Errorf("fleet: policy %q takes no parameter", tok)
+		}
 	default:
 		return "", 0, fmt.Errorf("fleet: unknown policy %q (want %s)", tok, strings.Join(Policies(), ", "))
 	}
+	if !hasArg {
+		return name, -1, nil
+	}
+	param, err = strconv.ParseFloat(arg, 64)
+	if err != nil || param != math.Trunc(param) || !(param >= lo && param < hi) {
+		return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want an integer slot count; adaptive-timeout takes %d to %d)", tok, adaptiveMinSlots, adaptiveMaxSlots)
+	}
+	return name, param, nil
 }
 
 // buildSlotPolicy constructs one slotted policy for the class's slotted
@@ -62,7 +80,7 @@ func buildSlotPolicy(cc *compiledClass, queueCap int, latencyWeight float64, str
 		if cc.polParam >= 0 {
 			initial = int64(cc.polParam)
 		}
-		return policy.NewAdaptiveTimeout(cc.slotted, initial, 1, 128)
+		return policy.NewAdaptiveTimeout(cc.slotted, initial, adaptiveMinSlots, adaptiveMaxSlots)
 	case "predictive":
 		return policy.NewPredictive(cc.slotted, 0.5)
 	case "q-dpm":
