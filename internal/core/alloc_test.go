@@ -28,6 +28,11 @@ func TestQDPMHotPathAllocationFree(t *testing.T) {
 		{"boltzmann", func(c *Config) { c.Explore = qlearn.Boltzmann{Temp: 0.5, MinTemp: 0.01, DecayTau: 30000} }},
 		{"qos", func(c *Config) { c.QoS = &QoSConfig{TargetBacklog: 0.5, Eta: 0.01} }},
 		{"fuzzy", func(c *Config) { c.Fuzzy = true }},
+		// experiment.QDPMTrackingFactory's learner: constant ε and α,
+		// which the agent resolves at construction.
+		{"tracking", func(c *Config) {
+			c.Explore, c.Alpha = qlearn.EpsGreedy{Eps: 0.08}, qlearn.Constant{C: 0.25}
+		}},
 	}
 	dev, err := device.Synthetic3().Slot(0.5)
 	if err != nil {

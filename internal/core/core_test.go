@@ -50,6 +50,11 @@ func TestNewValidation(t *testing.T) {
 		{"fuzzy with traces", func(c Config) Config { c.Fuzzy = true; c.TraceLambda = 0.5; return c }},
 		{"qos bad eta", func(c Config) Config { c.QoS = &QoSConfig{TargetBacklog: 1, Eta: 0}; return c }},
 		{"qos bad target", func(c Config) Config { c.QoS = &QoSConfig{TargetBacklog: -1, Eta: 0.1}; return c }},
+		{"NaN epsilon", func(c Config) Config { c.Explore = qlearn.EpsGreedy{Eps: math.NaN()}; return c }},
+		{"NaN alpha exponent", func(c Config) Config {
+			c.Alpha = qlearn.Polynomial{Scale: 0.5, Omega: math.NaN()}
+			return c
+		}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.mut(good)); err == nil {

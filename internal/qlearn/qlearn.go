@@ -9,6 +9,12 @@
 // per-step work is one argmax over the legal actions plus one table update
 // (Eqn. 3 of the paper), and the memory footprint is the |S|×|A| float64
 // table — the two properties the paper's efficiency argument rests on.
+//
+// NewAgent resolves an EpsGreedy explorer and a Constant learning rate
+// once: the agent then draws ε-greedy straight off the Q-table row, with a
+// decaying ε(t) read from a step-indexed memo the agent owns, and reads α
+// without a schedule call. Any other Explorer or Schedule is called
+// through its interface.
 package qlearn
 
 import (
@@ -54,14 +60,41 @@ type Polynomial struct {
 func (s Polynomial) Alpha(n int64) float64 { return s.Scale / math.Pow(float64(n), s.Omega) }
 func (s Polynomial) String() string        { return fmt.Sprintf("poly(%g,ω=%g)", s.Scale, s.Omega) }
 
-// validateSchedule rejects schedules that can produce rates outside (0,1].
+// validateSchedule rejects schedules whose first-visit rate lies outside
+// (0,1]. The built-in schedules are nonincreasing in n once their
+// parameters are valid (a Polynomial needs a finite Omega >= 0), so for
+// them α(1) bounds every visit; a caller's own Schedule is probed at n = 1
+// only.
 func validateSchedule(s Schedule) error {
 	if s == nil {
 		return fmt.Errorf("qlearn: nil schedule")
 	}
+	if p, ok := s.(Polynomial); ok && !(p.Omega >= 0 && p.Omega <= math.MaxFloat64) {
+		return fmt.Errorf("qlearn: schedule %s needs a finite exponent ω >= 0", s)
+	}
 	a := s.Alpha(1)
 	if !(a > 0) || a > 1 {
 		return fmt.Errorf("qlearn: schedule %s yields first-visit rate %v outside (0,1]", s, a)
+	}
+	return nil
+}
+
+// validateExplorer rejects built-in explorers whose parameters are not
+// rates (ε outside [0,1]) or temperatures (non-finite, or a negative
+// floor), or whose decay constant is NaN.
+func validateExplorer(e Explorer) error {
+	switch e := e.(type) {
+	case nil:
+		return fmt.Errorf("qlearn: nil explorer")
+	case EpsGreedy:
+		if !(e.Eps >= 0 && e.Eps <= 1) || !(e.MinEps >= 0 && e.MinEps <= 1) || math.IsNaN(e.DecayTau) {
+			return fmt.Errorf("qlearn: explorer %s needs ε and its floor in [0,1] and a non-NaN τ", e)
+		}
+	case Boltzmann:
+		if math.IsNaN(e.Temp) || math.IsInf(e.Temp, 0) || !(e.MinTemp >= 0 && e.MinTemp <= math.MaxFloat64) ||
+			math.IsNaN(e.DecayTau) {
+			return fmt.Errorf("qlearn: explorer %s needs a finite T, a finite floor >= 0 and a non-NaN τ", e)
+		}
 	}
 	return nil
 }
@@ -78,7 +111,10 @@ type Explorer interface {
 }
 
 // EpsGreedy explores uniformly with probability ε(t) = max(MinEps,
-// Eps·exp(−t/DecayTau)) (constant ε when DecayTau == 0).
+// Eps·exp(−t/DecayTau)) (constant ε when DecayTau <= 0). An Agent does
+// not call Select: NewAgent resolves the rate once — a constant, or for a
+// decaying ε a step-indexed memo owned by the agent — and draws the same
+// ε-greedy choice in place off its Q-table row.
 type EpsGreedy struct {
 	Eps      float64
 	MinEps   float64
@@ -97,61 +133,19 @@ func (e EpsGreedy) Epsilon(t int64) float64 {
 	return eps
 }
 
-// Select implements Explorer.
+// Select implements Explorer: the explore/exploit coin first, then a
+// uniform index or the tie-breaking argmax — the draw order
+// Agent.SelectAction keeps when it resolves an EpsGreedy.
 func (e EpsGreedy) Select(qvals []float64, step int64, stream *rng.Stream) (int, bool) {
-	return selectEps(qvals, e.Epsilon(step), stream)
-}
-
-// selectEps is the ε-greedy choice at a resolved exploration rate — the
-// shared kernel of EpsGreedy and its memoized wrapper.
-func selectEps(qvals []float64, eps float64, stream *rng.Stream) (int, bool) {
-	if stream.Float64() < eps {
+	if stream.Float64() < e.Epsilon(step) {
 		return stream.Intn(len(qvals)), true
 	}
-	return argmax(qvals, stream), false
+	return argmax(qvals, positions(len(qvals)), stream), false
 }
 
 func (e EpsGreedy) String() string {
 	return fmt.Sprintf("eps-greedy(ε=%g,min=%g,τ=%g)", e.Eps, e.MinEps, e.DecayTau)
 }
-
-// epsMemo wraps a decaying EpsGreedy with a step-indexed memo of ε(t).
-// Epsilon is a pure function of the step, so the memo is value-exact; it
-// replaces the per-decision math.Exp of the decay schedule with a table
-// load for the first epsMemoSize steps (short-episode workloads — fleet
-// instances above all — never leave the table). NewAgent installs it
-// transparently.
-type epsMemo struct {
-	e    EpsGreedy
-	memo []float64
-}
-
-const epsMemoSize = 4096
-
-func newEpsMemo(e EpsGreedy) *epsMemo {
-	m := &epsMemo{e: e, memo: make([]float64, epsMemoSize)}
-	for i := range m.memo {
-		m.memo[i] = -1 // ε values are >= 0; -1 = unfilled
-	}
-	return m
-}
-
-// Select implements Explorer with the memoized rate.
-func (m *epsMemo) Select(qvals []float64, step int64, stream *rng.Stream) (int, bool) {
-	eps := -1.0
-	if step < epsMemoSize {
-		eps = m.memo[step]
-	}
-	if eps < 0 {
-		eps = m.e.Epsilon(step)
-		if step < epsMemoSize {
-			m.memo[step] = eps
-		}
-	}
-	return selectEps(qvals, eps, stream)
-}
-
-func (m *epsMemo) String() string { return m.e.String() }
 
 // Boltzmann samples actions with probability ∝ exp(Q/T), T decaying like
 // EpsGreedy's ε.
@@ -176,7 +170,7 @@ func (b Boltzmann) temperature(t int64) float64 {
 func (b Boltzmann) Select(qvals []float64, step int64, stream *rng.Stream) (int, bool) {
 	temp := b.temperature(step)
 	if temp <= 0 {
-		return argmax(qvals, stream), false
+		return argmax(qvals, positions(len(qvals)), stream), false
 	}
 	// Softmax with max-shift for stability. The weights are recomputed in
 	// the selection pass rather than stored so the per-decision hot path
@@ -208,24 +202,47 @@ func (b Boltzmann) String() string {
 	return fmt.Sprintf("boltzmann(T=%g,min=%g,τ=%g)", b.Temp, b.MinTemp, b.DecayTau)
 }
 
-// argmax breaks ties uniformly at random so symmetric initial tables do
-// not lock onto the first action.
-func argmax(qvals []float64, stream *rng.Stream) int {
-	best := qvals[0]
-	n := 1
-	idx := 0
-	for i, q := range qvals[1:] {
-		switch {
+// argmax returns the position i in legal that maximizes row[legal[i]].
+// Values within 1e-12 of the running best tie, and ties are broken
+// uniformly at random (reservoir sampling, one Intn per tie) so symmetric
+// initial tables do not lock onto the first action.
+func argmax(row []float64, legal []int, stream *rng.Stream) int {
+	best, idx, ties := row[legal[0]], 0, 1
+	for i := 1; i < len(legal); i++ {
+		switch q := row[legal[i]]; {
 		case q > best+1e-12:
-			best, idx, n = q, i+1, 1
+			best, idx, ties = q, i, 1
 		case q > best-1e-12:
-			n++
-			if stream.Intn(n) == 0 {
-				idx = i + 1
+			ties++
+			if stream.Intn(ties) == 0 {
+				idx = i
 			}
 		}
 	}
 	return idx
+}
+
+// identity holds 0, 1, 2, …: its prefixes index a dense slice of Q values,
+// so the Explorer methods and DoubleQ's averaged values reach argmax
+// without building an index slice.
+var identity = func() (p [64]int) {
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}()
+
+// positions returns the indices 0..n-1 — a prefix of identity, or a fresh
+// slice for more candidates than any action set it was sized for.
+func positions(n int) []int {
+	if n <= len(identity) {
+		return identity[:n]
+	}
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
 }
 
 // argmaxDet is the deterministic first-max, used only to classify a
@@ -306,16 +323,28 @@ type Agent struct {
 
 	updates int64
 
-	// scratch holds the legal-action Q values during SelectAction. One
-	// selection runs per simulated slot, so this buffer keeps the
-	// decision hot path allocation-free.
+	// scratch holds the legal-action Q values when SelectAction cannot
+	// read them in place: for an explorer other than EpsGreedy, and for
+	// DoubleQ's averaged table. One selection runs per simulated slot, so
+	// this buffer keeps the decision hot path allocation-free.
 	scratch []float64
 
-	// alphaMemo caches Alpha(n) for small visit counts. Schedules are
-	// pure functions of n, so the memo is value-exact; it turns the
-	// per-update math.Pow of the Polynomial schedule into a table load.
-	// Allocated once at construction (fixed size), so the update hot
-	// path stays allocation-free.
+	// epsGreedy marks an EpsGreedy explorer (eps), which SelectAction
+	// draws in place off the Q row. A decaying one caches ε(t) for small
+	// steps in epsMemo: ε is a pure function of the step, so the memo is
+	// value-exact, and it replaces the per-decision math.Exp with a table
+	// load for the first epsMemoSize steps (short fleet episodes never
+	// leave it). Constant ε (DecayTau <= 0) needs no memo.
+	epsGreedy bool
+	eps       EpsGreedy
+	epsMemo   []float64
+
+	// alphaC is the rate of a Constant schedule. Any other schedule varies
+	// with n, and alphaMemo caches Alpha(n) for small visit counts —
+	// value-exact for the same reason, turning the per-update math.Pow of
+	// the Polynomial schedule into a table load. Both memos are allocated
+	// once at construction, so the hot path stays allocation-free.
+	alphaC    float64
 	alphaMemo []float64
 
 	// touched journals the table indices written since the last Reset
@@ -328,13 +357,35 @@ type Agent struct {
 	dirtyAll bool
 }
 
-// alphaMemoSize bounds the memo: visit counts beyond it (rare pairs in
-// very long runs) fall back to the schedule. Index 0 is unused (visit
-// counts start at 1).
-const alphaMemoSize = 4096
+// alphaMemoSize and epsMemoSize bound the memos: visit counts and steps
+// beyond them (rare pairs, very long runs) fall back to the schedule.
+// Index 0 of alphaMemo is unused (visit counts start at 1).
+const (
+	alphaMemoSize = 4096
+	epsMemoSize   = 4096
+)
 
-// alpha returns the learning rate for visit n, memoized.
+// newMemo returns a memo of n unfilled entries. Rates are >= 0, so -1
+// marks an entry not yet computed.
+func newMemo(n int) []float64 {
+	m := make([]float64, n)
+	for i := range m {
+		m[i] = -1
+	}
+	return m
+}
+
+// alpha returns the learning rate for visit n. Kept small enough to
+// inline, so a Constant rate costs one load.
 func (a *Agent) alpha(n int64) float64 {
+	if a.alphaMemo == nil {
+		return a.alphaC
+	}
+	return a.alphaAt(n)
+}
+
+// alphaAt returns a varying schedule's rate for visit n, memoized.
+func (a *Agent) alphaAt(n int64) float64 {
 	if n < alphaMemoSize {
 		if v := a.alphaMemo[n]; v >= 0 {
 			return v
@@ -344,6 +395,28 @@ func (a *Agent) alpha(n int64) float64 {
 		return v
 	}
 	return a.cfg.Alpha.Alpha(n)
+}
+
+// epsilon returns ε at step t for an EpsGreedy explorer; like alpha it
+// inlines, so a constant ε costs one load.
+func (a *Agent) epsilon(t int64) float64 {
+	if a.epsMemo == nil {
+		return a.eps.Eps
+	}
+	return a.epsilonAt(t)
+}
+
+// epsilonAt returns a decaying ε at step t, memoized.
+func (a *Agent) epsilonAt(t int64) float64 {
+	if t < epsMemoSize {
+		if v := a.epsMemo[t]; v >= 0 {
+			return v
+		}
+		v := a.eps.Epsilon(t)
+		a.epsMemo[t] = v
+		return v
+	}
+	return a.eps.Epsilon(t)
 }
 
 // NewAgent validates the configuration and returns a zeroed agent.
@@ -357,8 +430,8 @@ func NewAgent(cfg Config) (*Agent, error) {
 	if err := validateSchedule(cfg.Alpha); err != nil {
 		return nil, err
 	}
-	if cfg.Explore == nil {
-		return nil, fmt.Errorf("qlearn: nil explorer")
+	if err := validateExplorer(cfg.Explore); err != nil {
+		return nil, err
 	}
 	if cfg.TraceLambda < 0 || cfg.TraceLambda >= 1 {
 		return nil, fmt.Errorf("qlearn: trace lambda %v out of [0,1)", cfg.TraceLambda)
@@ -369,17 +442,18 @@ func NewAgent(cfg Config) (*Agent, error) {
 	if cfg.TraceCutoff == 0 {
 		cfg.TraceCutoff = 1e-4
 	}
-	// A decaying ε-greedy explorer pays one math.Exp per decision;
-	// memoize it by step (value-exact — ε is a pure function of the
-	// step). Constant-ε explorers (DecayTau <= 0) need no memo.
-	if eg, ok := cfg.Explore.(EpsGreedy); ok && eg.DecayTau > 0 {
-		cfg.Explore = newEpsMemo(eg)
-	}
 	n := cfg.NumStates * cfg.NumActions
-	a := &Agent{cfg: cfg, q: make([]float64, n), visits: make([]int64, n),
-		alphaMemo: make([]float64, alphaMemoSize)}
-	for i := range a.alphaMemo {
-		a.alphaMemo[i] = -1 // schedules yield rates in (0,1]; -1 = unfilled
+	a := &Agent{cfg: cfg, q: make([]float64, n), visits: make([]int64, n)}
+	if eg, ok := cfg.Explore.(EpsGreedy); ok {
+		a.epsGreedy, a.eps = true, eg
+		if eg.DecayTau > 0 {
+			a.epsMemo = newMemo(epsMemoSize)
+		}
+	}
+	if c, ok := cfg.Alpha.(Constant); ok {
+		a.alphaC = c.C
+	} else {
+		a.alphaMemo = newMemo(alphaMemoSize)
 	}
 	for i := range a.q {
 		a.q[i] = cfg.InitQ
@@ -522,14 +596,20 @@ func (a *Agent) SelectAction(s int, legal []int, stream *rng.Stream) (action int
 	if len(legal) == 0 {
 		panic("qlearn: SelectAction with no legal actions")
 	}
-	if cap(a.scratch) < len(legal) {
-		a.scratch = make([]float64, len(legal))
+	var idx int
+	switch {
+	case !a.epsGreedy:
+		idx, explored = a.cfg.Explore.Select(a.legalQ(s, legal), a.step, stream)
+	// ε-greedy in place, in EpsGreedy.Select's draw order: the coin, then
+	// a uniform index or the argmax over Q(s, legal[i]).
+	case stream.Float64() < a.epsilon(a.step):
+		idx, explored = stream.Intn(len(legal)), true
+	case a.q2 != nil: // DoubleQ selects on the average of its two tables
+		qvals := a.legalQ(s, legal)
+		idx = argmax(qvals, positions(len(qvals)), stream)
+	default:
+		idx = argmax(a.q[a.idx(s, 0):a.idx(s+1, 0)], legal, stream)
 	}
-	qvals := a.scratch[:len(legal)]
-	for i, act := range legal {
-		qvals[i] = a.Q(s, act)
-	}
-	idx, explored := a.cfg.Explore.Select(qvals, a.step, stream)
 	a.step++
 	if explored && a.traces != nil {
 		// Watkins Q(λ): exploratory actions invalidate the on-policy
@@ -537,6 +617,18 @@ func (a *Agent) SelectAction(s int, legal []int, stream *rng.Stream) (action int
 		clear(a.traces)
 	}
 	return legal[idx], explored
+}
+
+// legalQ copies Q(s, a) for each legal action into the scratch buffer.
+func (a *Agent) legalQ(s int, legal []int) []float64 {
+	if cap(a.scratch) < len(legal) {
+		a.scratch = make([]float64, len(legal))
+	}
+	qvals := a.scratch[:len(legal)]
+	for i, act := range legal {
+		qvals[i] = a.Q(s, act)
+	}
+	return qvals
 }
 
 // Update applies the Watkins/DoubleQ update for a transition that took

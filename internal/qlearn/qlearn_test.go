@@ -1,6 +1,7 @@
 package qlearn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -34,6 +35,23 @@ func TestNewAgentValidation(t *testing.T) {
 		{"alpha > 1", func(c Config) Config { c.Alpha = Constant{C: 1.5}; return c }},
 		{"alpha 0", func(c Config) Config { c.Alpha = Constant{C: 0}; return c }},
 		{"nil explorer", func(c Config) Config { c.Explore = nil; return c }},
+		// α(1) = Scale for every ω, so these pass a first-visit probe:
+		// NaN gives α(2) = NaN, a negative ω a rate above 1 from n = 2 on,
+		// and +Inf a rate of 0.
+		{"polynomial NaN omega", func(c Config) Config { c.Alpha = Polynomial{Scale: 0.5, Omega: math.NaN()}; return c }},
+		{"polynomial negative omega", func(c Config) Config { c.Alpha = Polynomial{Scale: 0.5, Omega: -1}; return c }},
+		{"polynomial infinite omega", func(c Config) Config { c.Alpha = Polynomial{Scale: 0.5, Omega: math.Inf(1)}; return c }},
+		{"eps NaN", func(c Config) Config { c.Explore = EpsGreedy{Eps: math.NaN()}; return c }},
+		{"eps > 1", func(c Config) Config { c.Explore = EpsGreedy{Eps: 1.5}; return c }},
+		{"eps < 0", func(c Config) Config { c.Explore = EpsGreedy{Eps: -0.1}; return c }},
+		{"eps floor > 1", func(c Config) Config { c.Explore = EpsGreedy{Eps: 0.3, MinEps: 2, DecayTau: 100}; return c }},
+		{"eps floor NaN", func(c Config) Config { c.Explore = EpsGreedy{Eps: 0.3, MinEps: math.NaN(), DecayTau: 100}; return c }},
+		{"eps tau NaN", func(c Config) Config { c.Explore = EpsGreedy{Eps: 0.3, DecayTau: math.NaN()}; return c }},
+		{"boltzmann NaN temp", func(c Config) Config { c.Explore = Boltzmann{Temp: math.NaN()}; return c }},
+		{"boltzmann infinite temp", func(c Config) Config { c.Explore = Boltzmann{Temp: math.Inf(1)}; return c }},
+		{"boltzmann negative floor", func(c Config) Config { c.Explore = Boltzmann{Temp: 1, MinTemp: -1, DecayTau: 100}; return c }},
+		{"boltzmann NaN floor", func(c Config) Config { c.Explore = Boltzmann{Temp: 1, MinTemp: math.NaN(), DecayTau: 100}; return c }},
+		{"boltzmann tau NaN", func(c Config) Config { c.Explore = Boltzmann{Temp: 1, DecayTau: math.NaN()}; return c }},
 		{"bad trace lambda", func(c Config) Config { c.TraceLambda = 1; return c }},
 		{"traces with sarsa", func(c Config) Config { c.Rule = SARSA; c.TraceLambda = 0.5; return c }},
 	}
@@ -114,7 +132,7 @@ func TestArgmaxRandomTieBreak(t *testing.T) {
 	q := []float64{1, 1, 0}
 	counts := [3]int{}
 	for i := 0; i < 10000; i++ {
-		counts[argmax(q, s)]++
+		counts[argmax(q, positions(len(q)), s)]++
 	}
 	if counts[2] != 0 {
 		t.Error("argmax picked a non-maximal action")
@@ -392,24 +410,244 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
+// stepConfig is an exploration strategy and learning-rate schedule pair.
+type stepConfig struct {
+	name    string
+	explore Explorer
+	alpha   Schedule
+}
+
+// stepConfigs are the two learners the fleet and the paper's workloads
+// run: the tracking learner (constant ε and α; experiment's
+// QDPMTrackingFactory) and the decaying one (ε decaying to a floor,
+// polynomial α; the fleet's default mix).
+var stepConfigs = []stepConfig{
+	{"tracking", EpsGreedy{Eps: 0.08}, Constant{C: 0.25}},
+	{"decaying", EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000}, Polynomial{Scale: 0.5, Omega: 0.65}},
+}
+
 func BenchmarkQStep(b *testing.B) {
 	// One decision + one update: the paper's entire per-interval runtime.
-	agent, err := NewAgent(Config{
-		NumStates: 99, NumActions: 3, Gamma: 0.95,
-		Alpha:   Constant{C: 0.1},
-		Explore: EpsGreedy{Eps: 0.05},
-	})
+	for _, c := range stepConfigs {
+		b.Run(c.name, func(b *testing.B) {
+			agent, err := NewAgent(Config{
+				NumStates: 99, NumActions: 3, Gamma: 0.95,
+				Alpha: c.alpha, Explore: c.explore,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := rng.New(1)
+			legal := []int{0, 1, 2}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st := i % 99
+				act, _ := agent.SelectAction(st, legal, s)
+				agent.Update(st, act, -0.5, (st+1)%99, legal, 1, s)
+			}
+		})
+	}
+}
+
+// TestAgentStepAllocationFree: once the scratch is sized, a decision
+// plus an update allocates nothing, for both resolved ε-greedy learners
+// and for Boltzmann, which selects through the scratch copy.
+func TestAgentStepAllocationFree(t *testing.T) {
+	cases := append(stepConfigs[:len(stepConfigs):len(stepConfigs)],
+		stepConfig{"boltzmann", Boltzmann{Temp: 0.5, MinTemp: 0.01, DecayTau: 30000}, Polynomial{Scale: 0.5, Omega: 0.65}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			agent, err := NewAgent(Config{
+				NumStates: 99, NumActions: 3, Gamma: 0.95,
+				Alpha: c.alpha, Explore: c.explore,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := rng.New(1)
+			legal := []int{0, 1, 2}
+			st := 0
+			step := func() {
+				act, _ := agent.SelectAction(st, legal, s)
+				agent.Update(st, act, -0.5, (st+1)%99, legal, 1+st%2, s)
+				st = (st + 1) % 99
+			}
+			step() // sizes the scratch
+			if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+				t.Errorf("%s: %.2f allocs per SelectAction+Update, want 0", c.explore, avg)
+			}
+		})
+	}
+}
+
+// opaqueExplorer and opaqueSchedule hide their concrete types from
+// NewAgent, so it cannot resolve them: the agent selects through
+// Explorer.Select on a scratch copy of the legal Q values and reads α
+// through the schedule memo.
+type (
+	opaqueExplorer struct{ Explorer }
+	opaqueSchedule struct{ Schedule }
+)
+
+// refEpsGreedy restates ε-greedy selection independently of the package's
+// argmax: the explore/exploit coin first (stream.Float64 < ε(step)), then
+// a uniform index, or the first maximum with values within 1e-12 tying
+// and each tie drawing Intn(ties) reservoir-style.
+type refEpsGreedy struct{ EpsGreedy }
+
+func (r refEpsGreedy) Select(qvals []float64, step int64, stream *rng.Stream) (int, bool) {
+	if stream.Float64() < r.Epsilon(step) {
+		return stream.Intn(len(qvals)), true
+	}
+	best, idx, ties := qvals[0], 0, 1
+	for i := 1; i < len(qvals); i++ {
+		if q := qvals[i]; q > best+1e-12 {
+			best, idx, ties = q, i, 1
+		} else if q > best-1e-12 {
+			ties++
+			if stream.Intn(ties) == 0 {
+				idx = i
+			}
+		}
+	}
+	return idx, false
+}
+
+// equivTrace is everything an agent's run exposes: each selection, the
+// final tables and counters, and the stream's next draw.
+type equivTrace struct {
+	actions        []int
+	explored       []bool
+	q, q2          []float64
+	visits         []int64
+	steps, updates int64
+	nextDraw       uint64
+}
+
+// runEquiv drives an agent through a 6-state chain whose legal sets have
+// 3, 1, 2 (given out of order) and 2 actions, with multi-slot transitions
+// and, every 64 steps, near-ties written into the row about to be read.
+func runEquiv(t *testing.T, cfg Config, steps int) equivTrace {
+	t.Helper()
+	agent, err := NewAgent(cfg)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	s := rng.New(1)
-	legal := []int{0, 1, 2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := i % 99
-		act, _ := agent.SelectAction(st, legal, s)
-		agent.Update(st, act, -0.5, (st+1)%99, legal, 1, s)
+	legalSets := [][]int{{0, 1, 2}, {1}, {2, 0}, {0, 1}, {0, 1, 2}, {2, 0}}
+	stream := rng.New(17)
+	var tr equivTrace
+	sel := func(s int) int {
+		act, explored := agent.SelectAction(s, legalSets[s], stream)
+		tr.actions = append(tr.actions, act)
+		tr.explored = append(tr.explored, explored)
+		return act
 	}
+	s := 0
+	act := sel(s)
+	for i := 0; i < steps; i++ {
+		next := (s*5 + act*7 + i%4) % len(legalSets)
+		if i%64 == 0 {
+			// Straddle the tie tolerance at next: offsets of 0 and 4e-13
+			// tie (within 1e-12), 4e-11 does not.
+			base := agent.Q(next, legalSets[next][0])
+			for j, a := range legalSets[next] {
+				agent.SetQ(next, a, base+[]float64{0, 4e-13, 4e-11}[j])
+			}
+		}
+		reward := -float64((s+act)%3) / 2 // few distinct values: ties persist
+		elapsed := 1 + i%3
+		if cfg.Rule == SARSA {
+			nextAct := sel(next)
+			agent.UpdateSARSA(s, act, reward, next, nextAct, elapsed)
+			act = nextAct
+		} else {
+			agent.Update(s, act, reward, next, legalSets[next], elapsed, stream)
+			act = sel(next)
+		}
+		s = next
+	}
+	tr.q = append([]float64(nil), agent.q...)
+	tr.q2 = append([]float64(nil), agent.q2...)
+	tr.visits = append([]int64(nil), agent.visits...)
+	tr.steps, tr.updates = agent.Step(), agent.Updates()
+	tr.nextDraw = stream.Uint64()
+	return tr
+}
+
+// TestResolvedSelectionMatchesGeneric: the ε-greedy learner NewAgent
+// resolves (in-place selection off the Q row, ε and Constant α resolved
+// once) behaves bit for bit like the same explorer and schedule behind
+// opaque wrappers, and like an independent restatement of ε-greedy — on
+// constant and decaying ε (past the memo), every schedule and rule,
+// traces, zero and nonzero InitQ, and legal sets of 1, 2 and 3 actions.
+func TestResolvedSelectionMatchesGeneric(t *testing.T) {
+	const steps = epsMemoSize + 2000
+	explorers := []EpsGreedy{{Eps: 0.2}, {Eps: 0.5, MinEps: 0.02, DecayTau: 1500}}
+	schedules := []Schedule{Constant{C: 0.3}, Harmonic{Scale: 1}, Polynomial{Scale: 0.5, Omega: 0.65}}
+	rules := []struct {
+		name   string
+		rule   Rule
+		lambda float64
+	}{{"watkins", Watkins, 0}, {"sarsa", SARSA, 0}, {"double", DoubleQ, 0}, {"traces", Watkins, 0.6}}
+	for _, e := range explorers {
+		for _, sched := range schedules {
+			for _, r := range rules {
+				for _, initQ := range []float64{0, 0.75} {
+					name := fmt.Sprintf("%s/%s/%s/init=%g", e, sched, r.name, initQ)
+					cfg := Config{NumStates: 6, NumActions: 3, Gamma: 0.9, Alpha: sched, Explore: e,
+						Rule: r.rule, TraceLambda: r.lambda, InitQ: initQ}
+					resolved := runEquiv(t, cfg, steps)
+					cfg.Alpha = opaqueSchedule{sched}
+					cfg.Explore = opaqueExplorer{e}
+					opaque := runEquiv(t, cfg, steps)
+					cfg.Explore = refEpsGreedy{e}
+					ref := runEquiv(t, cfg, steps)
+					for _, other := range []struct {
+						name string
+						tr   equivTrace
+					}{{"opaque", opaque}, {"reference", ref}} {
+						if err := diffTraces(resolved, other.tr); err != "" {
+							t.Errorf("%s: resolved vs %s: %s", name, other.name, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// diffTraces names the first difference between two runs, or "".
+func diffTraces(a, b equivTrace) string {
+	for i := range a.actions {
+		if i >= len(b.actions) || a.actions[i] != b.actions[i] || a.explored[i] != b.explored[i] {
+			return fmt.Sprintf("selection %d differs", i)
+		}
+	}
+	if len(a.actions) != len(b.actions) {
+		return "selection counts differ"
+	}
+	bits := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case !bits(a.q, b.q) || !bits(a.q2, b.q2):
+		return "Q tables differ"
+	case fmt.Sprint(a.visits) != fmt.Sprint(b.visits):
+		return "visit counts differ"
+	case a.steps != b.steps || a.updates != b.updates:
+		return fmt.Sprintf("Step/Updates %d/%d vs %d/%d", a.steps, a.updates, b.steps, b.updates)
+	case a.nextDraw != b.nextDraw:
+		return "stream positions differ"
+	}
+	return ""
 }
 
 // TestResetBitIdenticalToFresh: after a learning episode, Reset restores
