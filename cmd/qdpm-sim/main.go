@@ -214,6 +214,8 @@ func buildPolicy(name string, dev *device.Slotted, qcap int, latW, rate float64,
 	case "q-dpm", "q-dpm-sarsa", "q-dpm-double", "q-dpm-fuzzy", "q-dpm-qos":
 		cfg := core.Config{
 			Device: dev, QueueCap: qcap, LatencyWeight: latW, Stream: stream,
+			Explore: qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
+			Alpha:   qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
 		}
 		switch name {
 		case "q-dpm-sarsa":

@@ -17,11 +17,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiment"
-	"repro/internal/rng"
-	"repro/internal/slotsim"
 	"repro/internal/workload"
 )
 
@@ -58,19 +55,10 @@ func main() {
 		},
 	}
 
-	// 3. Two policies: the Q-DPM power manager (defaults: Watkins
-	//    Q-learning, ε-greedy exploration) and the always-on baseline.
-	qdpm := experiment.PolicyFactory{
-		Name: "q-dpm",
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return core.New(core.Config{
-				Device:        dev,
-				QueueCap:      8,
-				LatencyWeight: 0.3,
-				Stream:        stream,
-			})
-		},
-	}
+	// 3. Two policies: the Q-DPM power manager (Watkins Q-learning with
+	//    decaying ε-greedy exploration, the repository's q-dpm) and the
+	//    always-on baseline.
+	qdpm := experiment.QDPMFactory(dev)
 	alwaysOn := experiment.AlwaysOnFactory(dev)
 
 	// 4. Replicated runs on the worker pool. Seeds derive from the base

@@ -181,7 +181,7 @@ func TestFig2ShapeHolds(t *testing.T) {
 	for _, s := range fig.Series {
 		byName[s.Name] = s
 	}
-	q := byName["q-dpm"]
+	q := byName["q-dpm:tracking"]
 	lp := byName["adaptive-lp"]
 	if q == nil || lp == nil {
 		t.Fatal("missing series")

@@ -52,7 +52,7 @@ func QDPMFactory(dev *device.Slotted) PolicyFactory {
 // response.
 func QDPMTrackingFactory(dev *device.Slotted) PolicyFactory {
 	return PolicyFactory{
-		Name: "q-dpm",
+		Name: "q-dpm:tracking",
 		New: func(stream *rng.Stream) (slotsim.Policy, error) {
 			return core.New(core.Config{
 				Device:        dev,

@@ -558,13 +558,11 @@ func (a *Agent) Updates() int64 { return a.updates }
 func (a *Agent) Step() int64 { return a.step }
 
 // Bytes returns the approximate resident size of the learner state — the
-// paper's "a little bit [of] memory space" claim, measured.
+// paper's "a little bit [of] memory space" claim, measured: the Q and
+// visit tables plus the α and ε memos the agent owns (a constant rate
+// and a constant ε need none).
 func (a *Agent) Bytes() int {
-	b := len(a.q)*8 + len(a.visits)*8
-	if a.q2 != nil {
-		b += len(a.q2) * 8
-	}
-	return b
+	return 8 * (len(a.q) + len(a.q2) + len(a.visits) + len(a.alphaMemo) + len(a.epsMemo))
 }
 
 // MaxQ returns max over legal actions of Q(s, ·). It panics on an empty
