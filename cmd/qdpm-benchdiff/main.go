@@ -4,7 +4,7 @@
 // tolerance or when a zero-allocation path starts allocating.
 //
 //	go test -run '^$' -bench 'ScheduleAndFire|CTReplica|Fleet' -benchmem \
-//	    ./... | qdpm-benchdiff -baseline BENCH_pr4.json
+//	    ./... | qdpm-benchdiff -baseline BENCH_pr10.json
 //
 // Benchmark names are keyed the way the BENCH files record them: the
 // package directory's last element prefixes the name (eventq/

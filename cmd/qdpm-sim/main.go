@@ -22,10 +22,10 @@
 // under a -slot-period governor via the slotted-policy adapter. -horizon
 // sets the run length in seconds (default -slots × -slot).
 //
-// Policies: q-dpm, q-dpm-sarsa, q-dpm-double, q-dpm-fuzzy, optimal,
-// adaptive-lp, always-on, greedy-off, timeout, adaptive-timeout,
-// predictive. Slotted workloads: bernoulli (default), poisson, onoff,
-// pareto.
+// -policy takes any spec of the policy registry (internal/policyspec;
+// qdpm-sim -h lists them); a bare timeout or adaptive-timeout takes its
+// slot count from -timeout. Slotted workloads: bernoulli (default),
+// poisson, onoff, pareto.
 package main
 
 import (
@@ -34,19 +34,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
-	"repro/internal/core"
 	"repro/internal/ctsim"
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/experiment"
-	"repro/internal/mdp"
-	"repro/internal/policy"
-	"repro/internal/qlearn"
+	"repro/internal/policyspec"
 	"repro/internal/rng"
 	"repro/internal/slotsim"
-	"repro/internal/stochpm"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -61,7 +58,7 @@ func main() {
 func run() error {
 	var (
 		devName  = flag.String("device", "synthetic3", "catalog device: synthetic3|hdd|wlan|sensor-radio|two-state")
-		polName  = flag.String("policy", "q-dpm", "power-management policy")
+		polName  = flag.String("policy", "q-dpm", "power-management policy: "+policyspec.Usage())
 		wlName   = flag.String("workload", "bernoulli", "arrival process: bernoulli|poisson|onoff|pareto")
 		rate     = flag.Float64("rate", 0.1, "mean arrivals per slot")
 		slotDur  = flag.Float64("slot", 0.5, "slot duration in seconds")
@@ -69,7 +66,7 @@ func run() error {
 		seed     = flag.Uint64("seed", 1, "rng seed (replica seeds derive from it when -replicas > 1)")
 		queueCap = flag.Int("qcap", 8, "queue capacity")
 		latW     = flag.Float64("latw", 0.3, "latency weight (J per request-slot)")
-		timeout  = flag.Int64("timeout", 8, "timeout slots (timeout policy)")
+		timeout  = flag.Int64("timeout", 8, "slots of a bare timeout or adaptive-timeout -policy")
 		replicas = flag.Int("replicas", 1, "independent replicas to pool")
 		parallel = flag.Int("parallel", 0, "worker-pool size for replicas (0 = GOMAXPROCS)")
 		mode     = flag.String("mode", "slot", "simulator: slot (discrete-time) or ct (event-driven continuous time)")
@@ -77,12 +74,21 @@ func run() error {
 		traceIn  = flag.String("trace", "", "ct mode: replay arrivals from this trace file instead of -workload")
 	)
 	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 
 	psm, err := device.Lookup(*devName)
 	if err != nil {
 		return err
 	}
 	dev, err := psm.Slot(*slotDur)
+	if err != nil {
+		return err
+	}
+
+	pf, err := policyFactory(*polName, *timeout, policyspec.Env{
+		Device: dev, QueueCap: *queueCap, LatencyWeight: *latW, RatePerSlot: *rate,
+	})
 	if err != nil {
 		return err
 	}
@@ -94,8 +100,8 @@ func run() error {
 		if h == 0 {
 			h = float64(*slots) * *slotDur
 		}
-		return runCT(psm, dev, *polName, *wlName, *traceIn, *rate, *slotDur, h,
-			*queueCap, *latW, *timeout, *seed, *replicas, *parallel)
+		return runCT(ctx, psm, pf, *wlName, *traceIn, *rate, *slotDur, h,
+			*queueCap, *latW, *seed, *replicas, *parallel)
 	default:
 		return fmt.Errorf("unknown mode %q (want slot or ct)", *mode)
 	}
@@ -113,34 +119,21 @@ func run() error {
 		Slots:         *slots,
 		Workload:      arr.Clone,
 	}
-	pf := experiment.PolicyFactory{
-		Name: *polName,
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return buildPolicy(*polName, dev, *queueCap, *latW, *rate, *timeout, stream)
-		},
-	}
-	if *polName == "optimal" {
-		// The optimal policy is stateless and its MDP solve is identical
-		// for every replica: solve once, share across the pool.
-		opt, err := buildPolicy(*polName, dev, *queueCap, *latW, *rate, *timeout, nil)
-		if err != nil {
-			return err
-		}
-		pf.New = func(*rng.Stream) (slotsim.Policy, error) { return opt, nil }
-	}
-
+	var sum *experiment.Summary
+	var m slotsim.Metrics
 	if *replicas > 1 {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		seeds := engine.DeriveSeeds(*seed, *replicas)
-		sum, err := experiment.RunReplicatedCtx(ctx, sc, pf, seeds, experiment.Parallel{Workers: *parallel})
-		if err != nil {
-			return err
-		}
-		maxPower := dev.MaxPowerEnergy() / dev.SlotDuration
-		fmt.Printf("device        %s (%d states, slot %.3gs)\n", psm.Name, psm.NumStates(), dev.SlotDuration)
-		fmt.Printf("workload      %s\n", arr)
-		fmt.Printf("policy        %s\n", pf.Name)
+		sum, err = experiment.RunReplicatedCtx(ctx, sc, pf, engine.DeriveSeeds(*seed, *replicas), experiment.Parallel{Workers: *parallel})
+	} else {
+		m, err = experiment.RunOneCtx(ctx, sc, pf, *seed, nil)
+	}
+	if err != nil {
+		return err
+	}
+	maxPower := dev.MaxPowerEnergy() / dev.SlotDuration
+	fmt.Printf("device        %s (%d states, slot %.3gs)\n", psm.Name, psm.NumStates(), dev.SlotDuration)
+	fmt.Printf("workload      %s\n", arr)
+	fmt.Printf("policy        %s\n", pf.Name)
+	if sum != nil {
 		fmt.Printf("replicas      %d × %d slots (base seed %d)\n", sum.Replicas, *slots, *seed)
 		fmt.Printf("avg power     %.4f ± %.4f W (always-on %.4f W)\n",
 			sum.AvgPowerW.Mean(), sum.AvgPowerW.CI95(), maxPower)
@@ -151,16 +144,6 @@ func run() error {
 		fmt.Printf("loss rate     %.3f%% ± %.3f%%\n", 100*sum.LossRate.Mean(), 100*sum.LossRate.CI95())
 		return nil
 	}
-
-	m, err := experiment.RunOne(sc, pf, *seed, nil)
-	if err != nil {
-		return err
-	}
-
-	maxPower := dev.MaxPowerEnergy() / dev.SlotDuration
-	fmt.Printf("device        %s (%d states, slot %.3gs)\n", psm.Name, psm.NumStates(), dev.SlotDuration)
-	fmt.Printf("workload      %s\n", arr)
-	fmt.Printf("policy        %s\n", pf.Name)
 	fmt.Printf("slots         %d (%.1f s simulated)\n", m.Slots, float64(m.Slots)*dev.SlotDuration)
 	fmt.Printf("energy        %.2f J\n", m.EnergyJ)
 	fmt.Printf("avg power     %.4f W (always-on %.4f W)\n", m.AvgPowerW(dev.SlotDuration), maxPower)
@@ -209,51 +192,33 @@ func buildWorkload(name string, rate float64) (workload.Arrivals, error) {
 	}
 }
 
-func buildPolicy(name string, dev *device.Slotted, qcap int, latW, rate float64, timeout int64, stream *rng.Stream) (slotsim.Policy, error) {
-	switch name {
-	case "q-dpm", "q-dpm-sarsa", "q-dpm-double", "q-dpm-fuzzy", "q-dpm-qos":
-		cfg := core.Config{
-			Device: dev, QueueCap: qcap, LatencyWeight: latW, Stream: stream,
-			Explore: qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
-			Alpha:   qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
-		}
-		switch name {
-		case "q-dpm-sarsa":
-			cfg.Rule = qlearn.SARSA
-		case "q-dpm-double":
-			cfg.Rule = qlearn.DoubleQ
-		case "q-dpm-fuzzy":
-			cfg.Fuzzy = true
-		case "q-dpm-qos":
-			cfg.QoS = &core.QoSConfig{TargetBacklog: 0.5, Eta: 0.05}
-		}
-		return core.New(cfg)
-	case "optimal":
-		d, err := mdp.BuildDPM(mdp.DPMConfig{
-			Device: dev, ArrivalP: rate, QueueCap: qcap, LatencyWeight: latW,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return policy.NewOptimalFromModel(d)
-	case "adaptive-lp":
-		return stochpm.NewAdaptive(stochpm.AdaptiveConfig{
-			Device: dev, QueueCap: qcap, LatencyWeight: latW,
-			InitialRate: rate, Stream: stream,
-		})
-	case "always-on":
-		return policy.NewAlwaysOn(dev)
-	case "greedy-off":
-		return policy.NewGreedyOff(dev)
-	case "timeout":
-		return policy.NewFixedTimeout(dev, timeout)
-	case "adaptive-timeout":
-		return policy.NewAdaptiveTimeout(dev, timeout, 1, 128)
-	case "predictive":
-		return policy.NewPredictive(dev, 0.5)
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
+// policyFactory parses a -policy spec, a bare timeout or
+// adaptive-timeout taking timeout slots, and returns its factory
+// labelled with the spec as given. A stateless policy (the optimal
+// policy's MDP solve above all) is built once, here, and shared by every
+// replica in both modes.
+func policyFactory(tok string, timeout int64, env policyspec.Env) (experiment.PolicyFactory, error) {
+	spec, err := policyspec.Parse(tok)
+	if err == nil && spec.Parametric() && !strings.Contains(tok, "=") {
+		spec, err = policyspec.Parse(fmt.Sprintf("%s=%d", tok, timeout))
 	}
+	if err != nil {
+		return experiment.PolicyFactory{}, err
+	}
+	pf := experiment.PolicyFactory{
+		Name: tok,
+		New: func(stream *rng.Stream) (slotsim.Policy, error) {
+			return spec.Build(env, stream)
+		},
+	}
+	if spec.Stateless() {
+		pol, err := spec.Build(env, nil)
+		if err != nil {
+			return experiment.PolicyFactory{}, err
+		}
+		pf.New = func(*rng.Stream) (slotsim.Policy, error) { return pol, nil }
+	}
+	return pf, nil
 }
 
 // buildCTSource maps a workload name (a dist.ByName law; bernoulli and
@@ -282,9 +247,9 @@ func buildCTSource(name, traceFile string, ratePerSec float64) (func() (ctsim.So
 
 // runCT drives the event-driven continuous-time simulator with the chosen
 // slotted policy adapted onto a slotDur-period governor.
-func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile string,
+func runCT(ctx context.Context, psm *device.PSM, pf experiment.PolicyFactory, wlName, traceFile string,
 	ratePerSlot, slotDur, horizon float64, queueCap int, latW float64,
-	timeout int64, seed uint64, replicas, parallel int) error {
+	seed uint64, replicas, parallel int) error {
 
 	srcFactory, srcDesc, err := buildCTSource(wlName, traceFile, ratePerSlot/slotDur)
 	if err != nil {
@@ -305,13 +270,6 @@ func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile stri
 			return src
 		},
 	}
-	pf := experiment.PolicyFactory{
-		Name: polName,
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return buildPolicy(polName, dev, queueCap, latW, ratePerSlot, timeout, stream)
-		},
-	}
-
 	maxPower := psm.MaxPower()
 	fmt.Printf("device        %s (%d states, continuous time, %.3gs governor)\n",
 		psm.Name, psm.NumStates(), slotDur)
@@ -319,8 +277,6 @@ func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile stri
 	fmt.Printf("policy        %s\n", pf.Name)
 
 	if replicas > 1 {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
 		seeds := engine.DeriveSeeds(seed, replicas)
 		sum, err := experiment.RunCTReplicatedCtx(ctx, sc, pf, seeds, experiment.Parallel{Workers: parallel})
 		if err != nil {
@@ -336,7 +292,7 @@ func runCT(psm *device.PSM, dev *device.Slotted, polName, wlName, traceFile stri
 		return nil
 	}
 
-	m, err := experiment.RunCTOne(sc, pf, seed)
+	m, err := experiment.RunCTOneCtx(ctx, sc, pf, seed)
 	if err != nil {
 		return err
 	}

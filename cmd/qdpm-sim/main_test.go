@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/policyspec"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -37,28 +38,30 @@ func TestBuildWorkloadAllKinds(t *testing.T) {
 	}
 }
 
+// TestBuildPolicyAllKinds: -policy takes registry specs, labelled as
+// given, a bare timeout taking -timeout, and refuses bad specs before
+// any run; a stateless policy is built once and shared by every replica
+// in either mode, a learner built per replica.
 func TestBuildPolicyAllKinds(t *testing.T) {
 	dev, err := device.Synthetic3().Slot(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{
-		"q-dpm", "q-dpm-sarsa", "q-dpm-double", "q-dpm-fuzzy", "q-dpm-qos",
-		"optimal", "adaptive-lp", "always-on", "greedy-off",
-		"timeout", "adaptive-timeout", "predictive",
-	}
-	for _, name := range names {
-		pol, err := buildPolicy(name, dev, 8, 0.3, 0.1, 8, rng.New(1))
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
+	env := policyspec.Env{Device: dev, QueueCap: 8, LatencyWeight: 0.3, RatePerSlot: 0.1}
+	for tok, want := range map[string]string{"q-dpm:tracking": "q-dpm", "optimal": "optimal", "adaptive-lp": "adaptive-lp", "timeout": "timeout-20", "timeout=3": "timeout-3"} {
+		pf, err := policyFactory(tok, 20, env)
+		if err != nil || pf.Name != tok {
+			t.Fatalf("%s: labelled %q, %v", tok, pf.Name, err)
 		}
-		if pol.Name() == "" {
-			t.Errorf("%s: empty policy name", name)
+		p1, err := pf.New(rng.New(1))
+		if p2, _ := pf.New(rng.New(1)); err != nil || p1.Name() != want || (p1 == p2) != (tok != "q-dpm:tracking" && tok != "adaptive-lp") {
+			t.Errorf("%s: built %v (%v), shared %v", tok, p1, err, p1 == p2)
 		}
 	}
-	if _, err := buildPolicy("nope", dev, 8, 0.3, 0.1, 8, rng.New(1)); err == nil {
-		t.Error("unknown policy accepted")
+	for _, bad := range []string{"nope", "q-dpm=3", "timeout=2.5", "adaptive-timeout=0", "adaptive-timeout"} {
+		if _, err := policyFactory(bad, 200, env); err == nil {
+			t.Errorf("-policy %s -timeout 200 accepted", bad)
+		}
 	}
 }
 

@@ -3,10 +3,9 @@ package ctsim_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ctsim"
 	"repro/internal/device"
-	"repro/internal/qlearn"
+	"repro/internal/policyspec"
 	"repro/internal/rng"
 )
 
@@ -166,17 +165,13 @@ func TestCTHotPathAllocationFree(t *testing.T) {
 			return ctsim.Adapt(benchTimeout{deep: device.StateID(psm.NumStates() - 1), slots: 8}, 0.5)
 		}, 0.5},
 		{"governor-qdpm", func(t *testing.T) ctsim.Policy {
-			// The fleet's Q-DPM configuration (fleet.buildSlotPolicy).
+			// The fleet's Q-DPM learner, built by the policy registry.
 			dev, err := psm.Slot(0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := core.New(core.Config{
-				Device: dev, QueueCap: 8, LatencyWeight: 0.6,
-				Explore: qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
-				Alpha:   qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
-				Stream:  rng.New(5),
-			})
+			env := policyspec.Env{Device: dev, QueueCap: 8, LatencyWeight: 0.6}
+			m, err := policyspec.Spec{Name: "q-dpm"}.Build(env, rng.New(5))
 			if err != nil {
 				t.Fatal(err)
 			}

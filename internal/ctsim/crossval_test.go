@@ -3,10 +3,9 @@ package ctsim_test
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ctsim"
 	"repro/internal/device"
-	"repro/internal/policy"
+	"repro/internal/policyspec"
 	"repro/internal/rng"
 	"repro/internal/slotsim"
 	"repro/internal/trace"
@@ -63,22 +62,19 @@ func TestCrossValidationSlotQuantized(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Every registry baseline plus the Q-DPM learner; the subtests keep
+	// their policy names.
+	env := policyspec.Env{Device: dev, QueueCap: qcap, LatencyWeight: latW}
 	builders := []struct {
-		name  string
-		build func(stream *rng.Stream) (slotsim.Policy, error)
+		name string
+		spec policyspec.Spec
 	}{
-		{"always-on", func(*rng.Stream) (slotsim.Policy, error) { return policy.NewAlwaysOn(dev) }},
-		{"greedy-off", func(*rng.Stream) (slotsim.Policy, error) { return policy.NewGreedyOff(dev) }},
-		{"timeout-6", func(*rng.Stream) (slotsim.Policy, error) { return policy.NewFixedTimeout(dev, 6) }},
-		{"adaptive-timeout", func(*rng.Stream) (slotsim.Policy, error) {
-			return policy.NewAdaptiveTimeout(dev, 8, 1, 128)
-		}},
-		{"predictive", func(*rng.Stream) (slotsim.Policy, error) { return policy.NewPredictive(dev, 0.5) }},
-		{"q-dpm", func(stream *rng.Stream) (slotsim.Policy, error) {
-			return core.New(core.Config{
-				Device: dev, QueueCap: qcap, LatencyWeight: latW, Stream: stream,
-			})
-		}},
+		{"always-on", policyspec.Spec{Name: "always-on"}},
+		{"greedy-off", policyspec.Spec{Name: "greedy-off"}},
+		{"timeout-6", policyspec.Spec{Name: "timeout", Param: 6}},
+		{"adaptive-timeout", policyspec.Spec{Name: "adaptive-timeout", Param: 8}},
+		{"predictive", policyspec.Spec{Name: "predictive"}},
+		{"q-dpm", policyspec.Spec{Name: "q-dpm"}},
 	}
 
 	for _, b := range builders {
@@ -88,7 +84,7 @@ func TestCrossValidationSlotQuantized(t *testing.T) {
 			// layer's replica contract: first split feeds the policy,
 			// second the simulator.
 			root := rng.New(seed)
-			polS, err := b.build(root.Split())
+			polS, err := b.spec.Build(env, root.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +106,7 @@ func TestCrossValidationSlotQuantized(t *testing.T) {
 
 			// Continuous run over the same trace, same stream layout.
 			root2 := rng.New(seed)
-			polC, err := b.build(root2.Split())
+			polC, err := b.spec.Build(env, root2.Split())
 			if err != nil {
 				t.Fatal(err)
 			}

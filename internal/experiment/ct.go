@@ -111,13 +111,8 @@ func runCTReplica(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uin
 // of this many governor ticks and poll the context between chunks.
 const ctCancelChunkTicks = 8192
 
-// RunCTOne executes one continuous-time replica and returns its metrics.
-func RunCTOne(sc CTScenario, pf PolicyFactory, seed uint64) (ctsim.Metrics, error) {
-	return RunCTOneCtx(context.Background(), sc, pf, seed)
-}
-
-// RunCTOneCtx is RunCTOne with cooperative cancellation between simulated
-// chunks.
+// RunCTOneCtx executes one continuous-time replica and returns its
+// metrics, polling ctx between simulated chunks.
 func RunCTOneCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seed uint64) (ctsim.Metrics, error) {
 	if err := sc.Validate(); err != nil {
 		return ctsim.Metrics{}, err
@@ -168,14 +163,8 @@ func (s *CTSummary) Merge(o *CTSummary) {
 	s.LossRate.Merge(&o.LossRate)
 }
 
-// RunCTReplicated executes one continuous-time replica per seed on a
-// GOMAXPROCS pool and pools the metrics.
-func RunCTReplicated(sc CTScenario, pf PolicyFactory, seeds []uint64) (*CTSummary, error) {
-	return RunCTReplicatedCtx(context.Background(), sc, pf, seeds, Parallel{})
-}
-
-// RunCTReplicatedCtx is RunCTReplicated with cancellation and pool
-// control; the seed-order merge makes the result bit-identical for every
+// RunCTReplicatedCtx executes one continuous-time replica per seed on a
+// worker pool and pools the metrics; the seed-order merge makes the result bit-identical for every
 // worker count.
 func RunCTReplicatedCtx(ctx context.Context, sc CTScenario, pf PolicyFactory, seeds []uint64, par Parallel) (*CTSummary, error) {
 	if len(seeds) == 0 {
@@ -256,16 +245,11 @@ type ctCell struct {
 	pf PolicyFactory
 }
 
-// TableCT compares policies on the event-driven simulator across renewal
-// workloads the slot grid cannot express natively — Poisson (exp),
-// high-variance hyperexponential, and heavy-tailed Pareto and Weibull
-// interarrivals — at ratePerSec arrivals per second over horizon seconds.
-func TableCT(ratePerSec, horizon float64, seeds []uint64) (*Table, error) {
-	return TableCTCtx(context.Background(), ratePerSec, horizon, seeds, Parallel{})
-}
-
-// TableCTCtx is TableCT with cancellation and pool control: the
-// scenario × policy × seed replica grid fans out across the worker pool
+// TableCTCtx compares policies on the event-driven simulator across
+// renewal workloads the slot grid cannot express natively — Poisson
+// (exp), high-variance hyperexponential, and heavy-tailed Pareto and
+// Weibull interarrivals — at ratePerSec arrivals per second over horizon
+// seconds. The scenario × policy × seed replica grid fans out across the worker pool
 // and reduces in seed order, so output is bit-identical for every
 // -parallel value.
 func TableCTCtx(ctx context.Context, ratePerSec, horizon float64, seeds []uint64, par Parallel) (*Table, error) {

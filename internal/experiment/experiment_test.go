@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -73,11 +74,11 @@ func TestRunReplicatedDeterministic(t *testing.T) {
 		},
 	}
 	pf := TimeoutFactory(dev, 8)
-	a, err := RunReplicated(sc, pf, []uint64{1, 2, 3})
+	a, err := RunReplicatedCtx(context.Background(), sc, pf, []uint64{1, 2, 3}, Parallel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunReplicated(sc, pf, []uint64{1, 2, 3})
+	b, err := RunReplicatedCtx(context.Background(), sc, pf, []uint64{1, 2, 3}, Parallel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestRunReplicatedNoSeeds(t *testing.T) {
 			return b
 		},
 	}
-	if _, err := RunReplicated(sc, TimeoutFactory(dev, 8), nil); err == nil {
+	if _, err := RunReplicatedCtx(context.Background(), sc, TimeoutFactory(dev, 8), nil, Parallel{}); err == nil {
 		t.Error("no seeds accepted")
 	}
 }
@@ -126,7 +127,7 @@ func TestFig1ShapeHolds(t *testing.T) {
 	// The load-bearing reproduction check: Q-DPM's tail must approach the
 	// optimal line and beat the heuristics; the ordering
 	// optimal <= q-dpm < {timeout, greedy} must hold on tails.
-	fig, err := Fig1(miniFig1())
+	fig, err := Fig1Ctx(context.Background(), miniFig1(), Parallel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestFig2ShapeHolds(t *testing.T) {
 	// After the low→high switch both adaptive policies dip; Q-DPM must
 	// recover at least as fast as adaptive-LP (the paper's core claim).
 	cfg := miniFig2()
-	fig, err := Fig2(cfg)
+	fig, err := Fig2Ctx(context.Background(), cfg, Parallel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestFig2ShapeHolds(t *testing.T) {
 }
 
 func TestTableR1OrdersOfMagnitude(t *testing.T) {
-	tab, rows, err := TableR1([]int{3, 8})
+	tab, rows, err := TableR1Ctx(context.Background(), []int{3, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,16 +292,16 @@ func TestWindowedSeriesValidation(t *testing.T) {
 			return b
 		},
 	}
-	if _, err := WindowedCostSeries(sc, TimeoutFactory(dev, 8), 1, 0, 5); err == nil {
+	if _, err := WindowedCostSeriesCtx(context.Background(), sc, TimeoutFactory(dev, 8), 1, 0, 5); err == nil {
 		t.Error("zero window accepted")
 	}
-	if _, err := WindowedEnergyReductionSeries(sc, TimeoutFactory(dev, 8), 1, 5, 0); err == nil {
+	if _, err := WindowedEnergyReductionSeriesCtx(context.Background(), sc, TimeoutFactory(dev, 8), 1, 5, 0); err == nil {
 		t.Error("zero stride accepted")
 	}
 }
 
 func TestTableR4JitterWorkload(t *testing.T) {
-	tab, err := TableR4(0.15, 0.2, 2000, 30000, []uint64{41})
+	tab, err := TableR4Ctx(context.Background(), 0.15, 0.2, 2000, 30000, []uint64{41}, Parallel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestTableR4JitterWorkload(t *testing.T) {
 
 func TestTableAblationsSmoke(t *testing.T) {
 	specs := DefaultAblations()[:2] // baseline + one variant
-	tab, err := TableAblations(specs, 0.1, 30000, []uint64{51})
+	tab, err := TableAblationsCtx(context.Background(), specs, 0.1, 30000, []uint64{51}, Parallel{})
 	if err != nil {
 		t.Fatal(err)
 	}

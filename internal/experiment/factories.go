@@ -5,7 +5,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/mdp"
 	"repro/internal/policy"
-	"repro/internal/qlearn"
+	"repro/internal/policyspec"
 	"repro/internal/rng"
 	"repro/internal/slotsim"
 	"repro/internal/stochpm"
@@ -28,57 +28,46 @@ func CanonDevice() (*device.Slotted, error) {
 	return device.Synthetic3().Slot(CanonSlotSeconds)
 }
 
-// QDPMFactory returns the canonical converging Q-DPM configuration
-// (decaying exploration, polynomial learning rate) used in Fig. 1.
+// canonEnv is the registry environment of the canonical queue and cost
+// model on dev.
+func canonEnv(dev *device.Slotted) policyspec.Env {
+	return policyspec.Env{Device: dev, QueueCap: CanonQueueCap, LatencyWeight: CanonLatencyWeight}
+}
+
+// specFactory builds the registry policy spec on the canonical queue and
+// cost model, labelled with the spec's name.
+func specFactory(spec policyspec.Spec, dev *device.Slotted) PolicyFactory {
+	env := canonEnv(dev)
+	return PolicyFactory{
+		Name: spec.Name,
+		New: func(stream *rng.Stream) (slotsim.Policy, error) {
+			return spec.Build(env, stream)
+		},
+	}
+}
+
+// QDPMFactory returns the converging Q-DPM learner (the registry's
+// q-dpm: decaying exploration, polynomial learning rate) used in Fig. 1.
 func QDPMFactory(dev *device.Slotted) PolicyFactory {
-	return PolicyFactory{
-		Name: "q-dpm",
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return core.New(core.Config{
-				Device:        dev,
-				QueueCap:      CanonQueueCap,
-				LatencyWeight: CanonLatencyWeight,
-				Explore:       qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
-				Alpha:         qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
-				Stream:        stream,
-			})
-		},
-	}
+	return specFactory(policyspec.Spec{Name: "q-dpm"}, dev)
 }
 
-// QDPMTrackingFactory returns the nonstationary-tracking configuration
-// (constant exploration and learning rate) used in Fig. 2: a constant rate
-// never stops adapting, which is exactly the paper's argument for rapid
-// response.
+// QDPMTrackingFactory returns the tracking learner (the registry's
+// q-dpm:tracking: constant exploration and learning rate) used in
+// Fig. 2: a constant rate never stops adapting, which is exactly the
+// paper's argument for rapid response.
 func QDPMTrackingFactory(dev *device.Slotted) PolicyFactory {
-	return PolicyFactory{
-		Name: "q-dpm:tracking",
-		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			return core.New(core.Config{
-				Device:        dev,
-				QueueCap:      CanonQueueCap,
-				LatencyWeight: CanonLatencyWeight,
-				Explore:       qlearn.EpsGreedy{Eps: 0.08},
-				Alpha:         qlearn.Constant{C: 0.25},
-				Stream:        stream,
-			})
-		},
-	}
+	return specFactory(policyspec.Spec{Name: "q-dpm:tracking"}, dev)
 }
 
-// QDPMVariantFactory exposes the full configuration for ablations.
+// QDPMVariantFactory exposes the full configuration for ablations: mut
+// edits the converging learner's configuration.
 func QDPMVariantFactory(name string, dev *device.Slotted, mut func(*core.Config)) PolicyFactory {
+	env := canonEnv(dev)
 	return PolicyFactory{
 		Name: name,
 		New: func(stream *rng.Stream) (slotsim.Policy, error) {
-			cfg := core.Config{
-				Device:        dev,
-				QueueCap:      CanonQueueCap,
-				LatencyWeight: CanonLatencyWeight,
-				Explore:       qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
-				Alpha:         qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
-				Stream:        stream,
-			}
+			cfg := env.Learner(stream)
 			if mut != nil {
 				mut(&cfg)
 			}
@@ -137,50 +126,25 @@ func AdaptiveLPFactory(dev *device.Slotted, initialRate float64, optimizeLatency
 
 // AlwaysOnFactory returns the always-on baseline.
 func AlwaysOnFactory(dev *device.Slotted) PolicyFactory {
-	return PolicyFactory{
-		Name: "always-on",
-		New: func(*rng.Stream) (slotsim.Policy, error) {
-			return policy.NewAlwaysOn(dev)
-		},
-	}
+	return specFactory(policyspec.Spec{Name: "always-on"}, dev)
 }
 
 // GreedyOffFactory returns the immediate-shutdown baseline.
 func GreedyOffFactory(dev *device.Slotted) PolicyFactory {
-	return PolicyFactory{
-		Name: "greedy-off",
-		New: func(*rng.Stream) (slotsim.Policy, error) {
-			return policy.NewGreedyOff(dev)
-		},
-	}
+	return specFactory(policyspec.Spec{Name: "greedy-off"}, dev)
 }
 
 // TimeoutFactory returns a fixed-timeout baseline.
 func TimeoutFactory(dev *device.Slotted, slots int64) PolicyFactory {
-	return PolicyFactory{
-		Name: "timeout",
-		New: func(*rng.Stream) (slotsim.Policy, error) {
-			return policy.NewFixedTimeout(dev, slots)
-		},
-	}
+	return specFactory(policyspec.Spec{Name: "timeout", Param: slots}, dev)
 }
 
 // AdaptiveTimeoutFactory returns the Douglis-style adaptive timeout.
 func AdaptiveTimeoutFactory(dev *device.Slotted) PolicyFactory {
-	return PolicyFactory{
-		Name: "adaptive-timeout",
-		New: func(*rng.Stream) (slotsim.Policy, error) {
-			return policy.NewAdaptiveTimeout(dev, 8, 1, 128)
-		},
-	}
+	return specFactory(policyspec.Spec{Name: "adaptive-timeout", Param: 8}, dev)
 }
 
 // PredictiveFactory returns the Hwang–Wu predictive baseline.
 func PredictiveFactory(dev *device.Slotted) PolicyFactory {
-	return PolicyFactory{
-		Name: "predictive",
-		New: func(*rng.Stream) (slotsim.Policy, error) {
-			return policy.NewPredictive(dev, 0.5)
-		},
-	}
+	return specFactory(policyspec.Spec{Name: "predictive"}, dev)
 }

@@ -30,7 +30,8 @@ func (p Parallel) pool() *engine.Pool {
 // full run length.
 const cancelCheckSlots = 8192
 
-// RunOneCtx executes one replica like RunOne but polls ctx between slot
+// RunOneCtx executes one replica and returns the metrics; the observer,
+// when non-nil, sees every slot record. It polls ctx between slot
 // chunks, so a cancelled context aborts a multi-million-slot replica
 // promptly with ctx's error.
 func RunOneCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, observer func(slotsim.SlotRecord)) (slotsim.Metrics, error) {
@@ -93,7 +94,7 @@ func RunReplicatedCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seeds 
 // and reduces each cell — a (scenario, policy) pair named by the table
 // drivers — by merging its single-replica summaries in seed order. The
 // reduction order makes every cell's summary bit-identical to a serial
-// RunReplicated, independent of worker count.
+// RunReplicatedCtx, independent of worker count.
 func replicaGrid[C any](ctx context.Context, par Parallel, cells []C, seeds []uint64, cell func(C) (Scenario, PolicyFactory)) ([]*Summary, error) {
 	if len(seeds) == 0 {
 		return nil, errNoSeeds

@@ -80,12 +80,6 @@ func newReplicaSim(sc Scenario, pf PolicyFactory, seed uint64) (*slotsim.Sim, er
 	})
 }
 
-// RunOne executes one replica and returns the metrics. The observer, when
-// non-nil, sees every slot record.
-func RunOne(sc Scenario, pf PolicyFactory, seed uint64, observer func(slotsim.SlotRecord)) (slotsim.Metrics, error) {
-	return RunOneCtx(context.Background(), sc, pf, seed, observer)
-}
-
 // Summary pools replica metrics for one policy on one scenario.
 type Summary struct {
 	Policy   string
@@ -132,21 +126,8 @@ func (s *Summary) Merge(o *Summary) {
 	s.EnergyReduction.Merge(&o.EnergyReduction)
 }
 
-// RunReplicated executes one replica per seed and pools the metrics. The
-// replicas run on a GOMAXPROCS worker pool; use RunReplicatedCtx to
-// control the pool or cancel mid-run.
-func RunReplicated(sc Scenario, pf PolicyFactory, seeds []uint64) (*Summary, error) {
-	return RunReplicatedCtx(context.Background(), sc, pf, seeds, Parallel{})
-}
-
-// WindowedCostSeries runs one replica and returns the sliding-window
+// WindowedCostSeriesCtx runs one replica and returns the sliding-window
 // average per-slot cost sampled every stride slots — the Fig. 1 y-axis.
-func WindowedCostSeries(sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
-	return WindowedCostSeriesCtx(context.Background(), sc, pf, seed, window, stride)
-}
-
-// WindowedCostSeriesCtx is WindowedCostSeries with cooperative
-// cancellation.
 func WindowedCostSeriesCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
 	if window <= 0 || stride <= 0 {
 		return nil, fmt.Errorf("experiment: window %d and stride %d must be positive", window, stride)
@@ -168,14 +149,9 @@ func WindowedCostSeriesCtx(ctx context.Context, sc Scenario, pf PolicyFactory, s
 	return series, nil
 }
 
-// WindowedEnergyReductionSeries runs one replica and returns the sliding-
-// window energy reduction relative to always-on — the Fig. 2 y-axis.
-func WindowedEnergyReductionSeries(sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
-	return WindowedEnergyReductionSeriesCtx(context.Background(), sc, pf, seed, window, stride)
-}
-
-// WindowedEnergyReductionSeriesCtx is WindowedEnergyReductionSeries with
-// cooperative cancellation.
+// WindowedEnergyReductionSeriesCtx runs one replica and returns the
+// sliding-window energy reduction relative to always-on — the Fig. 2
+// y-axis.
 func WindowedEnergyReductionSeriesCtx(ctx context.Context, sc Scenario, pf PolicyFactory, seed uint64, window, stride int) (*stats.Series, error) {
 	series, _, err := windowedEnergyReductionSeriesMetrics(ctx, sc, pf, seed, window, stride)
 	return series, err

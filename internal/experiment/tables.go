@@ -39,19 +39,14 @@ type R1Row struct {
 	LPSpeedupOverQ float64
 }
 
-// TableR1 measures the paper's §1 efficiency claims on this host: the
+// TableR1Ctx measures the paper's §1 efficiency claims on this host: the
 // per-decision cost of a Q-DPM step versus re-running LP policy
 // optimization or value iteration, and the resident memory of the Q table
 // versus the explicit model. Model size scales via the queue capacity.
 //
 // R1 is a wall-clock microbenchmark, so it deliberately never uses the
 // worker pool — concurrent simulation work on the same cores would
-// corrupt the timings. TableR1Ctx only adds cancellation between sizes.
-func TableR1(queueCaps []int) (*Table, []R1Row, error) {
-	return TableR1Ctx(context.Background(), queueCaps)
-}
-
-// TableR1Ctx is TableR1 with cancellation between model sizes.
+// corrupt the timings. ctx is polled between model sizes.
 func TableR1Ctx(ctx context.Context, queueCaps []int) (*Table, []R1Row, error) {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -177,12 +172,6 @@ func buildEstimators() (*estimator.WindowRate, *estimator.CUSUM, error) {
 // ---------------------------------------------------------------------------
 // Table R2 — stationary policy comparison
 
-// TableR2 compares every policy's average power and latency on stationary
-// workloads across arrival rates, pooled over seeds.
-func TableR2(rates []float64, slots int64, seeds []uint64) (*Table, error) {
-	return TableR2Ctx(context.Background(), rates, slots, seeds, Parallel{})
-}
-
 // r2Cell names one (scenario, policy) table cell.
 type r2Cell struct {
 	rate float64
@@ -190,7 +179,8 @@ type r2Cell struct {
 	pf   PolicyFactory
 }
 
-// TableR2Ctx is TableR2 with cancellation and pool control. The exact
+// TableR2Ctx compares every policy's average power and latency on
+// stationary workloads across arrival rates, pooled over seeds. The exact
 // model solves (one per rate) and the rate × policy × seed replica grid
 // both fan out across the worker pool; rows keep their canonical order.
 func TableR2Ctx(ctx context.Context, rates []float64, slots int64, seeds []uint64, par Parallel) (*Table, error) {
@@ -315,14 +305,9 @@ func abs(x float64) float64 {
 	return x
 }
 
-// TableR3 runs the Fig. 2 scenario per policy and reports recovery time
-// after each switch plus total energy.
-func TableR3(cfg Fig2Config) (*Table, error) {
-	return TableR3Ctx(context.Background(), cfg, Parallel{})
-}
-
-// TableR3Ctx is TableR3 with cancellation and pool control; the policies
-// run concurrently (each policy's pair of runs stays on one worker).
+// TableR3Ctx runs the Fig. 2 scenario per policy and reports recovery
+// time after each switch plus total energy. The policies run
+// concurrently (each policy's pair of runs stays on one worker).
 func TableR3Ctx(ctx context.Context, cfg Fig2Config, par Parallel) (*Table, error) {
 	sc, switches, err := Fig2Scenario(cfg)
 	if err != nil {
@@ -422,14 +407,9 @@ func (j *jitterArrivals) String() string {
 	return fmt.Sprintf("jitter(λ=%g±%.0f%%/%d)", j.base, 100*j.amp, j.period)
 }
 
-// TableR4 compares policies under continuously jittering parameters: the
-// regime where the paper claims Q-DPM's tolerance and where the
+// TableR4Ctx compares policies under continuously jittering parameters:
+// the regime where the paper claims Q-DPM's tolerance and where the
 // mode-switch controller either thrashes or ignores the drift.
-func TableR4(base, amp float64, period int64, slots int64, seeds []uint64) (*Table, error) {
-	return TableR4Ctx(context.Background(), base, amp, period, slots, seeds, Parallel{})
-}
-
-// TableR4Ctx is TableR4 with cancellation and pool control.
 func TableR4Ctx(ctx context.Context, base, amp float64, period int64, slots int64, seeds []uint64, par Parallel) (*Table, error) {
 	dev, err := CanonDevice()
 	if err != nil {
@@ -510,14 +490,9 @@ func DefaultAblations() []AblationSpec {
 	}
 }
 
-// TableAblations runs each variant on the Fig. 1 scenario and reports the
-// tail (post-convergence) average cost against the optimal gain.
-func TableAblations(specs []AblationSpec, arrivalP float64, slots int64, seeds []uint64) (*Table, error) {
-	return TableAblationsCtx(context.Background(), specs, arrivalP, slots, seeds, Parallel{})
-}
-
-// TableAblationsCtx is TableAblations with cancellation and pool control:
-// the variant × seed grid fans out across the pool and each variant's
+// TableAblationsCtx runs each variant on the Fig. 1 scenario and reports
+// the tail (post-convergence) average cost against the optimal gain. The
+// variant × seed grid fans out across the pool and each variant's
 // tails pool in seed order.
 func TableAblationsCtx(ctx context.Context, specs []AblationSpec, arrivalP float64, slots int64, seeds []uint64, par Parallel) (*Table, error) {
 	dev, err := CanonDevice()

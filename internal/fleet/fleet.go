@@ -73,6 +73,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/policyspec"
 )
 
 // Mode selects the simulation kernel a fleet runs on.
@@ -155,8 +156,9 @@ type Class struct {
 	Dist string
 	// RatePerSec is the long-run arrival rate in requests per second.
 	RatePerSec float64
-	// Policy names the power-management policy (a Policies key, e.g.
-	// "timeout=8" or "q-dpm").
+	// Policy is the power-management policy spec (policyspec.Parse, e.g.
+	// "timeout=8" or "q-dpm"); entries that need an arrival-rate model
+	// (optimal, adaptive-lp) are rejected.
 	Policy string
 	// Weight is the class's share of instances (>= 1; default 1).
 	Weight int
@@ -178,8 +180,12 @@ func (c *Class) validate(i int) error {
 	if !(c.RatePerSec > 0) || math.IsInf(c.RatePerSec, 0) {
 		return fmt.Errorf("fleet: class %d rate %v must be positive and finite", i, c.RatePerSec)
 	}
-	if _, _, err := parsePolicy(c.Policy); err != nil {
+	pol, err := policyspec.Parse(c.Policy)
+	if err != nil {
 		return fmt.Errorf("fleet: class %d: %w", i, err)
+	}
+	if pol.NeedsRate() {
+		return fmt.Errorf("fleet: class %d: policy %q needs an arrival-rate model; fleet classes run model-free policies", i, c.Policy)
 	}
 	if c.Weight < 0 {
 		return fmt.Errorf("fleet: class %d weight %d must be >= 0", i, c.Weight)
@@ -369,8 +375,7 @@ type compiledClass struct {
 	name     string
 	slotted  *device.Slotted
 	maxPower float64
-	polName  string
-	polParam float64
+	pol      policyspec.Spec
 	arrDist  dist.Continuous
 }
 
@@ -439,7 +444,7 @@ func newRunner(spec Spec) (*runner, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: class %d (%s): %w", ci, c.Name(), err)
 		}
-		name, param, err := parsePolicy(c.Policy)
+		pol, err := policyspec.Parse(c.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -458,8 +463,7 @@ func newRunner(spec Spec) (*runner, error) {
 			name:     c.Name(),
 			slotted:  sl,
 			maxPower: c.Device.MaxPower(),
-			polName:  name,
-			polParam: param,
+			pol:      pol,
 			arrDist:  arrDist,
 		})
 		for w := 0; w < c.Weight; w++ {

@@ -209,7 +209,7 @@ func TestInstanceMatchesExperimentCTReplica(t *testing.T) {
 		},
 	}
 	seed := engine.SeedFor(7, 0)
-	m, err := experiment.RunCTOne(sc, experiment.TimeoutFactory(dev, 8), seed)
+	m, err := experiment.RunCTOneCtx(context.Background(), sc, experiment.TimeoutFactory(dev, 8), seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +297,13 @@ func TestParseMix(t *testing.T) {
 	if _, err := fleet.ParseMix("hdd:exp:0.08:timeout=0,hdd:exp:0.08:timeout=8.0,hdd:exp:0.08:adaptive-timeout=1,hdd:exp:0.08:adaptive-timeout=128"); err != nil {
 		t.Fatal(err)
 	}
-	classes, err := fleet.ParseMix("hdd:exp:0.08:timeout=8:2, wlan:hyperexp:2:q-dpm")
+	// A policy name may hold a colon (q-dpm:tracking); a weight follows.
+	classes, err := fleet.ParseMix("hdd:exp:0.08:timeout=8:2, wlan:hyperexp:2:q-dpm,wlan:exp:1:q-dpm:tracking:3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(classes) != 2 {
-		t.Fatalf("parsed %d classes, want 2", len(classes))
+	if len(classes) != 3 || classes[2].Policy != "q-dpm:tracking" || classes[2].Weight != 3 {
+		t.Fatalf("parsed %+v", classes)
 	}
 	if classes[0].Device.Name != "hdd" || classes[0].Weight != 2 || classes[0].Policy != "timeout=8" {
 		t.Fatalf("class 0 misparsed: %+v", classes[0])
@@ -317,18 +318,12 @@ func TestParseMix(t *testing.T) {
 		"hdd:nosuch:0.1:timeout",            // unknown dist
 		"hdd:exp:zero:timeout",              // bad rate
 		"hdd:exp:0.1:nosuch",                // unknown policy
-		"hdd:exp:0.1:timeout=-3",            // bad parameter
-		"hdd:exp:0.08:timeout=inf",          // non-finite parameter
-		"hdd:exp:0.08:timeout=NaN",          // non-finite parameter
-		"hdd:exp:0.08:timeout=2.5",          // non-integer parameter
-		"hdd:exp:0.08:timeout=1e19",         // parameter overflows int64
-		"hdd:exp:0.08:timeout=",             // empty parameter
-		"hdd:exp:0.08:adaptive-timeout=0",   // below the adaptive range
-		"hdd:exp:0.08:adaptive-timeout=500", // above the adaptive range
+		"hdd:exp:0.1:timeout=-3",            // bad parameter (policyspec.TestParse has the rest)
 		"hdd:exp:0.08:q-dpm=3",              // policy takes no parameter
-		"hdd:exp:0.08:always-on=5",          // policy takes no parameter
-		"hdd:exp:0.08:greedy-off=1",         // policy takes no parameter
-		"hdd:exp:0.08:predictive=0",         // policy takes no parameter
+		"hdd:exp:0.08:q-dpm:tracking=1",     // policy takes no parameter
+		"hdd:exp:0.08:q-dpm:other",          // bad weight
+		"hdd:exp:0.08:optimal",              // needs an arrival-rate model
+		"hdd:exp:0.08:adaptive-lp:2",        // needs an arrival-rate model
 		"hdd:exp:0.1:timeout:0",             // bad weight
 		"hdd:exp:0.1:timeout:1:extra-field", // too many fields
 	} {
@@ -360,11 +355,8 @@ func TestSpecValidate(t *testing.T) {
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, QueueCap: -1},
 		{Devices: 10, Classes: fleet.DefaultMix(), Horizon: 100, ShardSize: -1},
 		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: -1, Policy: "timeout"}}, Horizon: 100},
-		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "timeout=inf"}}, Horizon: 100},
-		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "timeout=2.5"}}, Horizon: 100},
-		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "adaptive-timeout=0"}}, Horizon: 100},
-		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "adaptive-timeout=500"}}, Horizon: 100},
 		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "q-dpm=3"}}, Horizon: 100},
+		{Devices: 10, Classes: []fleet.Class{{Device: device.HDD(), Dist: "exp", RatePerSec: 1, Policy: "optimal"}}, Horizon: 100},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {

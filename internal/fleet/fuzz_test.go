@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ctsim"
+	"repro/internal/policyspec"
 	"repro/internal/shared"
 )
 
@@ -25,15 +26,20 @@ func buildEveryClass(t *testing.T, spec Spec, res ctsim.Resource) {
 	}
 }
 
-// FuzzParseMix: ParseMix never panics, and every mix it accepts builds
-// every class in both modes. The corpus (testdata/fuzz/FuzzParseMix)
-// holds the malformed policy parameters that once validated and then
-// failed every shard at run time.
+// FuzzParseMix: ParseMix never panics, and every mix it accepts is
+// model-free and builds every class in both modes. The corpus
+// (testdata/fuzz/FuzzParseMix) holds the malformed policy parameters
+// that once validated and then failed every shard at run time.
 func FuzzParseMix(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		classes, err := ParseMix(s)
 		if err != nil {
 			return
+		}
+		for _, c := range classes {
+			if pol, _ := policyspec.Parse(c.Policy); pol.NeedsRate() {
+				t.Fatalf("accepted model-based policy %q", c.Policy)
+			}
 		}
 		for _, mode := range []Mode{ModeCT, ModeSlot} {
 			buildEveryClass(t, Spec{Devices: 1, Classes: classes, Mode: mode, Horizon: 1}, nil)

@@ -36,6 +36,7 @@ import (
 	"repro/internal/ctsim"
 	"repro/internal/engine"
 	"repro/internal/eventq"
+	"repro/internal/policyspec"
 	"repro/internal/rng"
 	"repro/internal/shared"
 	"repro/internal/slotsim"
@@ -135,7 +136,8 @@ func (ln *lane) classState(r *runner, ci int, res ctsim.Resource) (*classScratch
 // the resource into the cached config.
 func (cs *classScratch) build(r *runner, ci int, ln *lane, res ctsim.Resource) error {
 	cc := &r.classes[ci]
-	pol, err := buildSlotPolicy(cc, r.spec.QueueCap, r.spec.LatencyWeight, &ln.polStream)
+	env := policyspec.Env{Device: cc.slotted, QueueCap: r.spec.QueueCap, LatencyWeight: r.spec.LatencyWeight}
+	pol, err := cc.pol.Build(env, &ln.polStream)
 	if err != nil {
 		return err
 	}

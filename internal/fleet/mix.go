@@ -2,100 +2,15 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/policy"
-	"repro/internal/qlearn"
+	"repro/internal/policyspec"
 	"repro/internal/rng"
 	"repro/internal/slotsim"
 )
-
-// Policies lists the policy names a Class may use. "timeout" and
-// "adaptive-timeout" accept an integer parameter after '=' (slots):
-// timeout=8 parks after 8 idle slots; adaptive-timeout=16 starts the
-// adaptive timeout at 16 slots, within [1, 128].
-func Policies() []string {
-	return []string{"always-on", "greedy-off", "timeout", "adaptive-timeout", "predictive", "q-dpm"}
-}
-
-// The adaptive timeout's bounds in slots; its initial value (the
-// policy parameter, default 8) must lie within them.
-const (
-	adaptiveMinSlots = 1
-	adaptiveMaxSlots = 128
-)
-
-// parsePolicy splits a policy token into name and optional '=' parameter
-// (-1 when absent) and validates both, so that every accepted token
-// builds: only timeout (an integer >= 0 that fits an int64) and
-// adaptive-timeout (an integer in [adaptiveMinSlots, adaptiveMaxSlots])
-// take a parameter.
-func parsePolicy(tok string) (name string, param float64, err error) {
-	name, arg, hasArg := strings.Cut(tok, "=")
-	lo, hi := 0.0, float64(math.MaxInt64) // hi is 2^63, itself out of range
-	switch name {
-	case "timeout":
-	case "adaptive-timeout":
-		lo, hi = adaptiveMinSlots, adaptiveMaxSlots+1
-	case "always-on", "greedy-off", "predictive", "q-dpm":
-		if hasArg {
-			return "", 0, fmt.Errorf("fleet: policy %q takes no parameter", tok)
-		}
-	default:
-		return "", 0, fmt.Errorf("fleet: unknown policy %q (want %s)", tok, strings.Join(Policies(), ", "))
-	}
-	if !hasArg {
-		return name, -1, nil
-	}
-	param, err = strconv.ParseFloat(arg, 64)
-	if err != nil || param != math.Trunc(param) || !(param >= lo && param < hi) {
-		return "", 0, fmt.Errorf("fleet: bad policy parameter in %q (want an integer slot count; adaptive-timeout takes %d to %d)", tok, adaptiveMinSlots, adaptiveMaxSlots)
-	}
-	return name, param, nil
-}
-
-// buildSlotPolicy constructs one slotted policy for the class's slotted
-// device. The Q-DPM learner uses the canonical converging configuration
-// (decaying exploration, polynomial rate). Every returned policy is
-// resettable (see policyReset): one policy per (worker, class) serves
-// every instance of that class, reset per instance.
-func buildSlotPolicy(cc *compiledClass, queueCap int, latencyWeight float64, stream *rng.Stream) (slotsim.Policy, error) {
-	switch cc.polName {
-	case "always-on":
-		return policy.NewAlwaysOn(cc.slotted)
-	case "greedy-off":
-		return policy.NewGreedyOff(cc.slotted)
-	case "timeout":
-		slots := int64(8)
-		if cc.polParam >= 0 {
-			slots = int64(cc.polParam)
-		}
-		return policy.NewFixedTimeout(cc.slotted, slots)
-	case "adaptive-timeout":
-		initial := int64(8)
-		if cc.polParam >= 0 {
-			initial = int64(cc.polParam)
-		}
-		return policy.NewAdaptiveTimeout(cc.slotted, initial, adaptiveMinSlots, adaptiveMaxSlots)
-	case "predictive":
-		return policy.NewPredictive(cc.slotted, 0.5)
-	case "q-dpm":
-		return core.New(core.Config{
-			Device:        cc.slotted,
-			QueueCap:      queueCap,
-			LatencyWeight: latencyWeight,
-			Explore:       qlearn.EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000},
-			Alpha:         qlearn.Polynomial{Scale: 0.5, Omega: 0.65},
-			Stream:        stream,
-		})
-	default:
-		return nil, fmt.Errorf("fleet: unknown policy %q", cc.polName)
-	}
-}
 
 // policyReset derives the per-instance reset for a pooled policy: the
 // Q-DPM learner rebinds its exploration stream; the classical policies
@@ -119,9 +34,10 @@ func policyReset(pol slotsim.Policy) (func(*rng.Stream), error) {
 //	device:dist:rate:policy[:weight]
 //
 // where device is a catalog name (device.Lookup), dist a dist.ByName
-// key, rate the arrival rate in requests/second, policy a Policies
-// entry (optionally parameterized, e.g. timeout=8), and weight the
-// class's integer share of instances (default 1). Example:
+// key, rate the arrival rate in requests/second, policy a policyspec
+// spec (optionally parameterized, e.g. timeout=8; q-dpm:tracking keeps
+// its colon), and weight the class's integer share of instances
+// (default 1). Example:
 //
 //	hdd:exp:0.08:timeout=8:2,wlan:hyperexp:2:q-dpm:1
 func ParseMix(s string) ([]Class, error) {
@@ -132,6 +48,13 @@ func ParseMix(s string) ([]Class, error) {
 			continue
 		}
 		f := strings.Split(part, ":")
+		// A policy name may hold a colon (q-dpm:tracking).
+		if len(f) > 4 {
+			if _, err := policyspec.Parse(f[3] + ":" + f[4]); err == nil {
+				f[4] = f[3] + ":" + f[4]
+				f = append(f[:3], f[4:]...)
+			}
+		}
 		if len(f) != 4 && len(f) != 5 {
 			return nil, fmt.Errorf("fleet: mix entry %q: want device:dist:rate:policy[:weight]", part)
 		}
@@ -163,11 +86,10 @@ func ParseMix(s string) ([]Class, error) {
 }
 
 // DefaultMix returns the canonical heterogeneous fleet: laptop disks
-// under sparse Poisson traffic with a fixed timeout, WLAN NICs under
-// bursty hyperexponential traffic and sensor radios under heavy-tailed
-// Pareto traffic (both learning), and the paper's synthetic3 device
-// under its canonical load split between the learner and the greedy
-// baseline.
+// under sparse Poisson traffic with an 8-slot timeout, WLAN NICs under
+// bursty hyperexponential traffic running Q-DPM, sensor radios under
+// heavy-tailed Pareto traffic with greedy shutdown, and the paper's
+// synthetic3 device at its canonical load running Q-DPM.
 func DefaultMix() []Class {
 	mk := func(name, dist string, rate float64, pol string, weight int) Class {
 		dev, err := device.Lookup(name)

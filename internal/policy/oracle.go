@@ -16,7 +16,7 @@ import (
 // Use it with a workload.Playback built from the same counts so the
 // simulated arrivals match the schedule the oracle saw.
 type Oracle struct {
-	r              roles
+	r              Roles
 	nextArrival    []int64 // nextArrival[t] = first slot >= t with an arrival
 	breakEvenSlots int64
 	horizon        int64
@@ -29,11 +29,11 @@ func NewOracle(dev *device.Slotted, counts []int) (*Oracle, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("policy: oracle needs a non-empty schedule")
 	}
-	r, err := deriveRoles(dev.PSM)
+	r, err := DeriveRoles(dev.PSM)
 	if err != nil {
 		return nil, err
 	}
-	tbe, err := dev.PSM.BreakEven(r.shallow, r.deep)
+	tbe, err := dev.PSM.BreakEven(r.Shallow, r.Deep)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func (p *Oracle) Name() string { return "oracle" }
 // that beat the break-even horizon.
 func (p *Oracle) Decide(obs slotsim.Observation) device.StateID {
 	if obs.Queue > 0 {
-		return p.r.wake
+		return p.r.Wake
 	}
 	t := obs.Slot
 	var gap int64
@@ -71,10 +71,10 @@ func (p *Oracle) Decide(obs slotsim.Observation) device.StateID {
 		gap = p.nextArrival[t] - t
 	}
 	if gap >= p.breakEvenSlots {
-		return p.r.deep
+		return p.r.Deep
 	}
-	if obs.Phase == p.r.wake {
-		return p.r.shallow
+	if obs.Phase == p.r.Wake {
+		return p.r.Shallow
 	}
 	return obs.Phase
 }

@@ -372,14 +372,10 @@ func TestBytesFootprint(t *testing.T) {
 	if b := agent.Bytes(); b != 4*2*8*2 { // q + visits
 		t.Errorf("Bytes = %d, want 128", b)
 	}
-	// A varying rate and a decaying ε each add the memo the agent owns:
-	// 4096 float64 entries apiece.
-	memo := cfg
-	memo.Alpha = Polynomial{Scale: 0.5, Omega: 0.65}
-	memo.Explore = EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000}
-	agent3, _ := NewAgent(memo)
-	if b := agent3.Bytes(); b != 4*2*8*2+65536 {
-		t.Errorf("memoized Bytes = %d, want %d", b, 4*2*8*2+65536)
+	memo := cfg // a varying rate and a decaying ε each own a 4096-entry memo
+	memo.Alpha, memo.Explore = Polynomial{Scale: 0.5, Omega: 0.65}, EpsGreedy{Eps: 0.3, MinEps: 0.002, DecayTau: 30000}
+	if agent3, _ := NewAgent(memo); agent3.Bytes() != 4*2*8*2+65536 {
+		t.Errorf("memoized Bytes = %d, want %d", agent3.Bytes(), 4*2*8*2+65536)
 	}
 	cfg.Rule = DoubleQ
 	agent2, _ := NewAgent(cfg)
